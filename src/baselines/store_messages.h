@@ -12,36 +12,35 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "runtime/message.h"
 #include "sim/network.h"
 
 namespace geotp {
 namespace baselines {
 
+using runtime::Message;
+using runtime::MessageType;
+
 /// Versioned read of a batch of records.
-struct StoreReadRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreReadRequest;
-  }
+struct StoreReadRequest : Message<MessageType::kStoreReadRequest> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<RecordKey> keys;
-  size_t WireSize() const override { return 48 + keys.size() * 16; }
+  template <typename V> void Fields(V&& v) { v(txn, req_id, keys); }
 };
 
 struct ReadResult {
   int64_t value = 0;
   uint64_t version = 0;
+  template <typename V> void Fields(V&& v) { v(value, version); }
 };
 
-struct StoreReadResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreReadResponse;
-  }
+struct StoreReadResponse : Message<MessageType::kStoreReadResponse> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   Status status;
   std::vector<ReadResult> results;
-  size_t WireSize() const override { return 48 + results.size() * 16; }
+  template <typename V> void Fields(V&& v) { v(txn, req_id, status, results); }
 };
 
 /// One staged operation for prepare-time validation.
@@ -50,41 +49,36 @@ struct StagedOp {
   uint64_t expected_version = 0;
   bool is_write = false;
   int64_t write_value = 0;
+  template <typename V>
+  void Fields(V&& v) {
+    v(key, expected_version, is_write, write_value);
+  }
 };
 
 /// Consensus-commit prepare: validate read versions, install intents.
-struct StorePrepareRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStorePrepareRequest;
-  }
+struct StorePrepareRequest : Message<MessageType::kStorePrepareRequest> {
   TxnId txn = kInvalidTxn;
   std::vector<StagedOp> ops;
-  size_t WireSize() const override { return 48 + ops.size() * 32; }
+  template <typename V> void Fields(V&& v) { v(txn, ops); }
 };
 
-struct StorePrepareResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStorePrepareResponse;
-  }
+struct StorePrepareResponse : Message<MessageType::kStorePrepareResponse> {
   TxnId txn = kInvalidTxn;
   Status status;
+  template <typename V> void Fields(V&& v) { v(txn, status); }
 };
 
 /// Promote (commit=true) or discard (commit=false) the txn's intents.
-struct StoreDecisionRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreDecisionRequest;
-  }
+struct StoreDecisionRequest : Message<MessageType::kStoreDecisionRequest> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  template <typename V> void Fields(V&& v) { v(txn, commit); }
 };
 
-struct StoreDecisionAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreDecisionAck;
-  }
+struct StoreDecisionAck : Message<MessageType::kStoreDecisionAck> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  template <typename V> void Fields(V&& v) { v(txn, commit); }
 };
 
 // ---------------------------------------------------------------------------
@@ -93,33 +87,26 @@ struct StoreDecisionAck : sim::MessageBase {
 
 /// Execute a batch at an owner tablet: reads return committed values;
 /// writes install provisional intents immediately (fail-fast on conflict).
-struct YbBatchRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbBatchRequest;
-  }
+struct YbBatchRequest : Message<MessageType::kYbBatchRequest> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<StagedOp> ops;  ///< expected_version unused (pessimistic write)
-  size_t WireSize() const override { return 48 + ops.size() * 32; }
+  template <typename V> void Fields(V&& v) { v(txn, req_id, ops); }
 };
 
-struct YbBatchResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbBatchResponse;
-  }
+struct YbBatchResponse : Message<MessageType::kYbBatchResponse> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   Status status;
   std::vector<ReadResult> results;  ///< read ops only, in order
+  template <typename V> void Fields(V&& v) { v(txn, req_id, status, results); }
 };
 
 /// Asynchronous intent resolution after the status record committed.
-struct YbResolveRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbResolveRequest;
-  }
+struct YbResolveRequest : Message<MessageType::kYbResolveRequest> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  template <typename V> void Fields(V&& v) { v(txn, commit); }
 };
 
 }  // namespace baselines

@@ -27,6 +27,9 @@ enum class StatusCode : uint8_t {
   kInternal,
 };
 
+/// Last StatusCode, for the wire decoder's range check (common/wire.h).
+constexpr StatusCode WireMax(StatusCode) { return StatusCode::kInternal; }
+
 /// Returns a stable human-readable name for a status code ("Aborted", ...).
 const char* StatusCodeName(StatusCode code);
 

@@ -64,6 +64,7 @@ struct Xid {
   }
 
   std::string ToString() const;
+  template <typename V> void Fields(V&& v) { v(txn_id, data_source); }
 };
 
 struct XidHash {
@@ -88,6 +89,7 @@ struct RecordKey {
   }
 
   std::string ToString() const;
+  template <typename V> void Fields(V&& v) { v(table, key); }
 };
 
 struct RecordKeyHash {

@@ -1,6 +1,8 @@
 // Wire messages exchanged between clients, middlewares, geo-agents and
-// data sources. Everything derives from sim::MessageBase so the simulated
-// network can deliver it with per-link latency.
+// data sources. Every message derives from runtime::Message<tag>, so either
+// runtime can deliver it, and lists its wire fields once in a Fields()
+// member (common/wire.h); the loopback codec and the WAN packing are both
+// derived from that list.
 //
 // Naming follows the paper's Algorithm 1: data sources answer the implicit
 // prepare with votes (PREPARED / FAILURE / IDLE / ROLLBACK_ONLY /
@@ -15,11 +17,15 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "runtime/message.h"
 #include "sharding/shard_map.h"
 #include "sim/network.h"
 
 namespace geotp {
 namespace protocol {
+
+using runtime::Message;
+using runtime::MessageType;
 
 /// One record operation as submitted by a client (already parsed /
 /// partition-routed form; the SQL path in src/sql produces these).
@@ -28,6 +34,10 @@ struct ClientOp {
   bool is_write = false;
   int64_t value = 0;     ///< write literal or delta
   bool is_delta = false; ///< UPDATE ... SET val = val + value
+  template <typename V>
+  void Fields(V&& v) {
+    v(key, is_write, value, is_delta);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -37,10 +47,7 @@ struct ClientOp {
 /// One interactive round of a transaction. The first round opens the
 /// transaction; `last_round` carries the last-statement annotation that
 /// lets GeoTP trigger the decentralized prepare (paper §IV-A).
-struct ClientRoundRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientRoundRequest;
-  }
+struct ClientRoundRequest : Message<MessageType::kClientRoundRequest> {
   uint64_t client_tag = 0;  ///< client-side correlation handle
   TxnId txn_id = kInvalidTxn;  ///< 0 on the first round; DM assigns
   /// Tenant the transaction belongs to. The DM's admission controller
@@ -49,38 +56,37 @@ struct ClientRoundRequest : sim::MessageBase {
   uint32_t tenant = 0;
   std::vector<ClientOp> ops;
   bool last_round = false;
-  size_t WireSize() const override { return 64 + ops.size() * 24; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(client_tag, txn_id, tenant, ops, last_round);
+  }
 };
 
-struct ClientRoundResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientRoundResponse;
-  }
+struct ClientRoundResponse : Message<MessageType::kClientRoundResponse> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
   std::vector<int64_t> values;  ///< read results, in op order
-  size_t WireSize() const override { return 64 + values.size() * 8; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(client_tag, txn_id, status, values);
+  }
 };
 
 /// COMMIT (or ROLLBACK) submitted by the client.
-struct ClientFinishRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientFinishRequest;
-  }
+struct ClientFinishRequest : Message<MessageType::kClientFinishRequest> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   bool commit = true;
+  template <typename V> void Fields(V&& v) { v(client_tag, txn_id, commit); }
 };
 
 /// Final transaction outcome to the client.
-struct ClientTxnResult : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientTxnResult;
-  }
+struct ClientTxnResult : Message<MessageType::kClientTxnResult> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
+  template <typename V> void Fields(V&& v) { v(client_tag, txn_id, status); }
 };
 
 /// Shed reply: the DM refused to admit a NEW transaction (in-flight
@@ -88,16 +94,16 @@ struct ClientTxnResult : sim::MessageBase {
 /// executed — the client may retry after backing off at least
 /// `retry_after_hint`. Only ever sent before a TxnId is assigned;
 /// admitted transactions always finish with ClientTxnResult.
-struct OverloadedResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kOverloadedResponse;
-  }
+struct OverloadedResponse : Message<MessageType::kOverloadedResponse> {
   uint64_t client_tag = 0;
   uint32_t tenant = 0;  ///< echo of the request's tenant
   /// Suggested minimum backoff before retrying; grows while the DM keeps
   /// shedding so persistent overload pushes clients further out.
   Micros retry_after_hint = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(client_tag, tenant, retry_after_hint);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -105,10 +111,7 @@ struct OverloadedResponse : sim::MessageBase {
 // ---------------------------------------------------------------------------
 
 /// Executes a batch of operations of one subtransaction branch.
-struct BranchExecuteRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kBranchExecuteRequest;
-  }
+struct BranchExecuteRequest : Message<MessageType::kBranchExecuteRequest> {
   Xid xid;
   uint64_t round_seq = 0;
   bool begin_branch = false;      ///< first batch for this branch
@@ -121,13 +124,13 @@ struct BranchExecuteRequest : sim::MessageBase {
   std::vector<NodeId> peers;
   /// Middleware to send the implicit-prepare vote to.
   NodeId coordinator = kInvalidNode;
-  size_t WireSize() const override { return 96 + ops.size() * 24; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(xid, round_seq, begin_branch, ops, last_statement, peers, coordinator);
+  }
 };
 
-struct BranchExecuteResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kBranchExecuteResponse;
-  }
+struct BranchExecuteResponse : Message<MessageType::kBranchExecuteResponse> {
   Xid xid;
   uint64_t round_seq = 0;
   Status status;
@@ -137,16 +140,17 @@ struct BranchExecuteResponse : sim::MessageBase {
   Micros local_exec_latency = 0;
   /// True if the branch already rolled back locally (failure path).
   bool rolled_back = false;
-  size_t WireSize() const override { return 96 + values.size() * 8; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(xid, round_seq, status, values, local_exec_latency, rolled_back);
+  }
 };
 
 /// Explicit prepare request (classic 2PC path, and the "notify sources not
 /// processing the last statement" case of §III).
-struct PrepareRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPrepareRequest;
-  }
+struct PrepareRequest : Message<MessageType::kPrepareRequest> {
   Xid xid;
+  template <typename V> void Fields(V&& v) { v(xid); }
 };
 
 /// Vote values, per Algorithm 1.
@@ -157,43 +161,34 @@ enum class Vote : uint8_t {
   kRollbackOnly,  ///< end failed; branch rolled back
   kRollbacked,    ///< branch rolled back (early abort / abort ack)
 };
+constexpr Vote WireMax(Vote) { return Vote::kRollbacked; }
 
 const char* VoteName(Vote vote);
 
-struct VoteMessage : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kVoteMessage;
-  }
+struct VoteMessage : Message<MessageType::kVoteMessage> {
   Xid xid;
   Vote vote = Vote::kPrepared;
+  template <typename V> void Fields(V&& v) { v(xid, vote); }
 };
 
 /// Several explicit prepares bound for one data source, coalesced by the
 /// DM's dispatch queue when they go out in the same event-loop tick (group
 /// commit at the DM releases many decisions/prepares at once).
-struct PrepareBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPrepareBatch;
-  }
+struct PrepareBatch : Message<MessageType::kPrepareBatch> {
   std::vector<Xid> xids;
-  size_t WireSize() const override { return 48 + xids.size() * 24; }
+  template <typename V> void Fields(V&& v) { v(xids); }
 };
 
 /// Final decision from the DM. `one_phase` commits an un-prepared branch
 /// directly (XA COMMIT ... ONE PHASE; centralized transactions).
-struct DecisionRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionRequest;
-  }
+struct DecisionRequest : Message<MessageType::kDecisionRequest> {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
+  template <typename V> void Fields(V&& v) { v(xid, commit, one_phase); }
 };
 
-struct DecisionAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionAck;
-  }
+struct DecisionAck : Message<MessageType::kDecisionAck> {
   Xid xid;
   bool committed = false;
   /// Echo of the request's one_phase flag: a failed one-phase commit is a
@@ -201,6 +196,10 @@ struct DecisionAck : sim::MessageBase {
   /// two-phase commit of a prepared branch would be an atomicity bug.
   bool one_phase = false;
   Status status;
+  template <typename V>
+  void Fields(V&& v) {
+    v(xid, committed, one_phase, status);
+  }
 };
 
 /// One decision of a DecisionBatch.
@@ -208,17 +207,15 @@ struct DecisionItem {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
+  template <typename V> void Fields(V&& v) { v(xid, commit, one_phase); }
 };
 
 /// Several decisions bound for one data source, coalesced like
 /// PrepareBatch. The source processes items in order and acks each one
 /// individually (acks carry per-transaction status).
-struct DecisionBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionBatch;
-  }
+struct DecisionBatch : Message<MessageType::kDecisionBatch> {
   std::vector<DecisionItem> items;
-  size_t WireSize() const override { return 48 + items.size() * 24; }
+  template <typename V> void Fields(V&& v) { v(items); }
 };
 
 // ---------------------------------------------------------------------------
@@ -227,12 +224,10 @@ struct DecisionBatch : sim::MessageBase {
 
 /// Proactive peer-abort notification, sent data-source to data-source
 /// without DM coordination.
-struct PeerAbortRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPeerAbortRequest;
-  }
+struct PeerAbortRequest : Message<MessageType::kPeerAbortRequest> {
   TxnId txn_id = kInvalidTxn;
   NodeId origin = kInvalidNode;  ///< the data source where the failure hit
+  template <typename V> void Fields(V&& v) { v(txn_id, origin); }
 };
 
 // ---------------------------------------------------------------------------
@@ -256,6 +251,9 @@ enum class ReplEntryType : uint8_t {
   kMigrationCutover,
   kMigrationEnd,
 };
+constexpr ReplEntryType WireMax(ReplEntryType) {
+  return ReplEntryType::kMigrationEnd;
+}
 
 const char* ReplEntryTypeName(ReplEntryType type);
 
@@ -274,6 +272,11 @@ struct MigrationRecord {
   /// acked when the cutover was journaled, so a promoted leader continues
   /// numbering here for drain commits of installed prepared branches.
   uint64_t delta_next_seq = 1;
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, range, dest, dest_leader, new_version, balancer, timeout,
+      delta_next_seq);
+  }
 };
 
 /// One write of a replicated branch, as an absolute value (deltas are
@@ -281,6 +284,7 @@ struct MigrationRecord {
 struct ReplWrite {
   RecordKey key;
   int64_t value = 0;
+  template <typename V> void Fields(V&& v) { v(key, value); }
 };
 
 /// One entry of a replica group's shipped WAL.
@@ -314,14 +318,19 @@ struct ReplEntry {
   /// the uncompressed wire payload) — the identity the decline handshake
   /// compares against the source's re-offer. 0 for deltas.
   uint64_t ingest_content_hash = 0;
+  // Wire order is the packed WAN layout (protocol::PackEntries), which puts
+  // `at` before `writes`; WanCodec.GoldenPackedLayout pins it.
+  template <typename V>
+  void Fields(V&& v) {
+    v(index, epoch, type, xid, coordinator, at, writes, migration,
+      ingest_migration_id, ingest_chunk_seq, ingest_delta_seq,
+      ingest_content_hash);
+  }
 };
 
 /// Leader -> follower log shipping. Empty `entries` is a heartbeat; both
 /// carry the quorum commit watermark so followers can apply.
-struct ReplAppendRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplAppendRequest;
-  }
+struct ReplAppendRequest : Message<MessageType::kReplAppendRequest> {
   NodeId group = kInvalidNode;  ///< logical data source id
   uint64_t epoch = 0;
   /// Index of the entry immediately before `entries` (0 = log start).
@@ -350,18 +359,15 @@ struct ReplAppendRequest : sim::MessageBase {
   uint32_t payload_uncompressed_len = 0;
   uint64_t payload_hash = 0;
   std::string payload;
-  size_t WireSize() const override {
-    size_t bytes = 64;
-    if (!payload.empty()) return bytes + payload.size();
-    for (const ReplEntry& e : entries) bytes += 48 + e.writes.size() * 16;
-    return bytes;
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, epoch, prev_index, prev_epoch, entries, commit_watermark,
+      compact_floor, payload_codec, payload_uncompressed_len, payload_hash,
+      payload);
   }
 };
 
-struct ReplAppendAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplAppendAck;
-  }
+struct ReplAppendAck : Message<MessageType::kReplAppendAck> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< follower's current epoch (leader steps down if newer)
   /// Highest log index the follower holds after processing the append.
@@ -371,14 +377,14 @@ struct ReplAppendAck : sim::MessageBase {
   /// its wan_compression knob). 0 — the default a pre-negotiation actor
   /// sends — keeps the leader shipping plain entries.
   uint32_t codec_mask = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, epoch, ack_index, ok, codec_mask);
+  }
 };
 
 /// Candidate -> replica during leader election.
-struct ReplVoteRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplVoteRequest;
-  }
+struct ReplVoteRequest : Message<MessageType::kReplVoteRequest> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< candidate's proposed (incremented) epoch
   /// (epoch of last log entry, log length): voters compare these
@@ -386,69 +392,66 @@ struct ReplVoteRequest : sim::MessageBase {
   /// quorum-committed entries from a newer epoch.
   uint64_t last_log_epoch = 0;
   uint64_t last_log_index = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, epoch, last_log_epoch, last_log_index);
+  }
 };
 
-struct ReplVoteResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplVoteResponse;
-  }
+struct ReplVoteResponse : Message<MessageType::kReplVoteResponse> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   bool granted = false;
   uint64_t voter_last_index = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, epoch, granted, voter_last_index);
+  }
 };
 
 /// Broadcast by a freshly elected leader to the middlewares so they update
 /// routing and retry in-flight branches.
-struct LeaderAnnounce : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kLeaderAnnounce;
-  }
+struct LeaderAnnounce : Message<MessageType::kLeaderAnnounce> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader = kInvalidNode;
-  size_t WireSize() const override { return 48; }
+  template <typename V> void Fields(V&& v) { v(group, epoch, leader); }
 };
 
 /// Sent by a replica that received coordinator traffic while not being the
 /// group's leader (stale middleware routing).
-struct NotLeaderResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kNotLeaderResponse;
-  }
+struct NotLeaderResponse : Message<MessageType::kNotLeaderResponse> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader_hint = kInvalidNode;  ///< kInvalidNode while electing
-  size_t WireSize() const override { return 48; }
+  template <typename V> void Fields(V&& v) { v(group, epoch, leader_hint); }
 };
 
 /// Stale-bounded read of committed data served by a follower, used for
 /// read-only branches when the middleware enables follower reads.
-struct FollowerReadRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kFollowerReadRequest;
-  }
+struct FollowerReadRequest : Message<MessageType::kFollowerReadRequest> {
   NodeId group = kInvalidNode;
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   std::vector<RecordKey> keys;
   Micros max_staleness = 0;
-  size_t WireSize() const override { return 64 + keys.size() * 16; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, txn_id, round_seq, keys, max_staleness);
+  }
 };
 
-struct FollowerReadResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kFollowerReadResponse;
-  }
+struct FollowerReadResponse : Message<MessageType::kFollowerReadResponse> {
   NodeId group = kInvalidNode;
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   bool ok = false;  ///< false: staleness bound exceeded — retry at the leader
   Micros staleness = 0;
   std::vector<int64_t> values;
-  size_t WireSize() const override { return 64 + values.size() * 8; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(group, txn_id, round_seq, ok, staleness, values);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -459,10 +462,7 @@ struct FollowerReadResponse : sim::MessageBase {
 /// replica group `dest`. The cutover will publish the range at
 /// `new_version`; until then the map is unchanged and the source serves
 /// (and, once fenced, drains) the range.
-struct ShardMigrateRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateRequest;
-  }
+struct ShardMigrateRequest : Message<MessageType::kShardMigrateRequest> {
   uint64_t migration_id = 0;
   sharding::ShardRange range;   ///< owner field = current owner (source)
   NodeId dest = kInvalidNode;   ///< destination logical group
@@ -472,18 +472,18 @@ struct ShardMigrateRequest : sim::MessageBase {
   /// unfences) after twice this, so a balancer that died mid-migration
   /// cannot wedge the range in the fenced state forever.
   Micros timeout = 0;
-  size_t WireSize() const override { return 96; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, range, dest, dest_leader, new_version, timeout);
+  }
 };
 
 /// Balancer -> source leader: abandon a timed-out migration (e.g. the
 /// source crashed mid-copy and a promoted leader has no migration state,
 /// or the destination never acked). Unfences the range.
-struct ShardMigrateCancel : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateCancel;
-  }
+struct ShardMigrateCancel : Message<MessageType::kShardMigrateCancel> {
   uint64_t migration_id = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V> void Fields(V&& v) { v(migration_id); }
 };
 
 /// Bulk record transfer. Two users share this install path:
@@ -498,10 +498,7 @@ struct ShardMigrateCancel : sim::MessageBase {
 ///    full applied store; base_index/base_epoch position the follower's
 ///    (empty) log at the compaction boundary so shipping resumes from the
 ///    retained tail.
-struct ShardSnapshotChunk : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSnapshotChunk;
-  }
+struct ShardSnapshotChunk : Message<MessageType::kShardSnapshotChunk> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;   ///< dest logical group / repl group id
   sharding::ShardRange range;    ///< moving range (migration only)
@@ -522,9 +519,10 @@ struct ShardSnapshotChunk : sim::MessageBase {
   uint32_t payload_uncompressed_len = 0;
   uint64_t content_hash = 0;  ///< hash of the packed (uncompressed) records
   std::string payload;
-  size_t WireSize() const override {
-    if (!payload.empty()) return 112 + payload.size();
-    return 112 + records.size() * 16;
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, group, range, seq, last, epoch, base_index, base_epoch,
+      records, payload_codec, payload_uncompressed_len, content_hash, payload);
   }
 };
 
@@ -533,49 +531,40 @@ struct ShardSnapshotChunk : sim::MessageBase {
 /// the receiver's flow-control grant: the source may send chunks up to
 /// seq + credit. Duplicate chunks re-ack with the current position so a
 /// lost ack cannot wedge the stream.
-struct ShardSnapshotAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSnapshotAck;
-  }
+struct ShardSnapshotAck : Message<MessageType::kShardSnapshotAck> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;     ///< highest contiguously applied chunk
   uint64_t credit = 1;  ///< additional chunks the receiver will buffer
   /// Codecs the destination can decode (0 = pre-negotiation actor: the
   /// source keeps shipping plain records).
   uint32_t codec_mask = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, seq, credit, codec_mask);
+  }
 };
 
 /// Source leader -> dest leader: writes committed on the moving range
 /// after the snapshot cut. Sequenced per migration; the destination
 /// applies batches in order (absolute values, so application is
 /// idempotent).
-struct ShardDeltaBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardDeltaBatch;
-  }
+struct ShardDeltaBatch : Message<MessageType::kShardDeltaBatch> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< 1-based batch sequence
   std::vector<ReplWrite> writes;
-  size_t WireSize() const override { return 64 + writes.size() * 16; }
+  template <typename V> void Fields(V&& v) { v(migration_id, seq, writes); }
 };
 
-struct ShardDeltaAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardDeltaAck;
-  }
+struct ShardDeltaAck : Message<MessageType::kShardDeltaAck> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< highest contiguously applied batch
-  size_t WireSize() const override { return 48; }
+  template <typename V> void Fields(V&& v) { v(migration_id, seq); }
 };
 
 /// Source leader -> balancer: the range is fenced, every in-flight branch
 /// on it drained (or aborted) and every delta acked by the destination —
 /// the balancer may publish the new placement.
-struct ShardCutoverReady : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardCutoverReady;
-  }
+struct ShardCutoverReady : Message<MessageType::kShardCutoverReady> {
   uint64_t migration_id = 0;
   sharding::ShardRange range;  ///< owner = destination, version = new
   /// True when the source group journaled a MigrationCutover record through
@@ -586,19 +575,16 @@ struct ShardCutoverReady : sim::MessageBase {
   /// unreplicated sources, where the stale-epoch compare still gates the
   /// publish.
   bool logged = false;
-  size_t WireSize() const override { return 96; }
+  template <typename V> void Fields(V&& v) { v(migration_id, range, logged); }
 };
 
 /// Source leader -> balancer: a promoted source leader inherited a
 /// MigrationBegin record with no Cutover — the stream state died with the
 /// deposed leader, so it aborted the migration from the log (journaling a
 /// MigrationEnd). The balancer cancels instead of waiting for the timeout.
-struct ShardMigrateAborted : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateAborted;
-  }
+struct ShardMigrateAborted : Message<MessageType::kShardMigrateAborted> {
   uint64_t migration_id = 0;
-  size_t WireSize() const override { return 48; }
+  template <typename V> void Fields(V&& v) { v(migration_id); }
 };
 
 /// One chunk's identity in an incremental re-seed offer: its stream
@@ -614,6 +600,7 @@ struct SeedDigest {
   RecordKey lo;       ///< first key the chunk covers
   RecordKey hi;       ///< last key the chunk covers
   bool last = false;  ///< final chunk of the stream
+  template <typename V> void Fields(V&& v) { v(seq, hash, lo, hi, last); }
 };
 
 /// Source -> destination: "this is the chunk stream; decline what you
@@ -628,10 +615,7 @@ struct SeedDigest {
 ///    instead of one monolithic store snapshot. base_index/base_epoch
 ///    position the follower's log exactly as the old single-chunk path
 ///    did, once every non-declined chunk has been applied.
-struct ShardSeedOffer : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSeedOffer;
-  }
+struct ShardSeedOffer : Message<MessageType::kShardSeedOffer> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;  ///< dest logical group / repl group id
   sharding::ShardRange range;   ///< moving range (migration only)
@@ -639,17 +623,17 @@ struct ShardSeedOffer : sim::MessageBase {
   uint64_t base_index = 0;      ///< bootstrap only (see ShardSnapshotChunk)
   uint64_t base_epoch = 0;
   std::vector<SeedDigest> digests;
-  size_t WireSize() const override { return 96 + digests.size() * 48; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, group, range, epoch, base_index, base_epoch, digests);
+  }
 };
 
 /// Destination -> source: the chunks (by seq) the receiver already holds
 /// and therefore declines, plus its resume state. Everything NOT declined
 /// is (re)sent. Also the natural carrier of the receiver's codec mask and
 /// credit for the resumed stream.
-struct ShardSeedDecline : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSeedDecline;
-  }
+struct ShardSeedDecline : Message<MessageType::kShardSeedDecline> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< receiver's epoch (stale offers die here)
@@ -659,42 +643,36 @@ struct ShardSeedDecline : sim::MessageBase {
   uint64_t delta_seq = 0;
   uint64_t credit = 1;      ///< flow-control grant for the resumed stream
   uint32_t codec_mask = 0;  ///< codecs the receiver decodes
-  size_t WireSize() const override { return 64 + declined.size() * 8; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(migration_id, group, epoch, declined, delta_seq, credit, codec_mask);
+  }
 };
 
 /// Balancer -> every DM and data-source replica: authoritative shard map.
 /// Receivers adopt entries per-range by version (last-writer-wins under
 /// the single balancer writer), so the epoch switch is atomic per actor.
-struct ShardMapUpdate : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMapUpdate;
-  }
+struct ShardMapUpdate : Message<MessageType::kShardMapUpdate> {
   std::vector<sharding::ShardRange> entries;
-  size_t WireSize() const override { return 48 + entries.size() * 32; }
+  template <typename V> void Fields(V&& v) { v(entries); }
 };
 
 /// Data source -> DM: "WrongShardEpoch" bounce of a batch routed under a
 /// stale map. Carries the patched range so the DM adopts it and re-routes
 /// the batch (or aborts the transaction when the branch already executed
 /// earlier rounds here).
-struct ShardRedirect : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardRedirect;
-  }
+struct ShardRedirect : Message<MessageType::kShardRedirect> {
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   sharding::ShardRange entry;  ///< owner = the range's current owner
-  size_t WireSize() const override { return 96; }
+  template <typename V> void Fields(V&& v) { v(txn_id, round_seq, entry); }
 };
 
 // ---------------------------------------------------------------------------
 // Latency monitoring (paper §VI: ping thread at 10 ms intervals)
 // ---------------------------------------------------------------------------
 
-struct PingRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPingRequest;
-  }
+struct PingRequest : Message<MessageType::kPingRequest> {
   uint64_t seq = 0;
   Micros sent_at = 0;
   /// Shard-map anti-entropy: the sender's (DM's) shard-map epoch. A data
@@ -702,13 +680,10 @@ struct PingRequest : sim::MessageBase {
   /// missed a publish converges within one ping interval instead of
   /// waiting to bounce off a redirect.
   uint64_t shard_epoch = 0;
-  size_t WireSize() const override { return 40; }
+  template <typename V> void Fields(V&& v) { v(seq, sent_at, shard_epoch); }
 };
 
-struct PingResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPingResponse;
-  }
+struct PingResponse : Message<MessageType::kPingResponse> {
   uint64_t seq = 0;
   Micros sent_at = 0;
   /// Capacity signal: branches in flight at the responding engine (live
@@ -730,7 +705,11 @@ struct PingResponse : sim::MessageBase {
   /// Piggybacked map when the ping's shard_epoch was behind this node's
   /// map (empty otherwise). The DM adopts the entries.
   std::vector<sharding::ShardRange> map_entries;
-  size_t WireSize() const override { return 48 + map_entries.size() * 32; }
+  template <typename V>
+  void Fields(V&& v) {
+    v(seq, sent_at, inflight, run_queue, run_queue_limit, shard_epoch,
+      map_entries);
+  }
 };
 
 }  // namespace protocol

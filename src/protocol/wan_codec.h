@@ -4,11 +4,14 @@
 // (ReplAppendRequest) and migration/bootstrap ShardSnapshotChunks — ship
 // their record vectors as one packed byte string so the payload can be
 // compressed and hash-verified as a unit (src/common/compress.h). The
-// packed format here is deliberately independent of the loopback runtime's
-// message codec (runtime/codec.cc): it is the CONTENT being transported,
-// not the frame — the same packed bytes travel inside a sim message object
-// or inside a TCP frame unchanged, which is what makes the content hash a
-// stable chunk identity across runtimes and across retries.
+// packed bytes are the field-walker encoding (common/wire.h) of the record
+// vector, derived from the same Fields() lists as the loopback frame codec.
+// They are the CONTENT being transported, not the frame: the same packed
+// bytes travel inside a sim message object or inside a TCP frame
+// unchanged, which is what makes the content hash a stable chunk identity
+// across runtimes and across retries. So the field lists of ReplWrite,
+// ReplEntry and MigrationRecord must keep their order and widths (the
+// WanCodec.GoldenPackedLayout test pins the bytes).
 //
 // All decode paths are bounds-checked and total: malformed bytes yield
 // `false`, never a crash or a partial application.

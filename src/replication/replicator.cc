@@ -722,47 +722,21 @@ void Replicator::OnBootstrapSnapshot(
     SyncRoleState();
   }
   last_leader_contact_ = loop()->Now();
-  if (chunk.seq != 0) {
-    // A chunk of the offered seed stream. Records apply immediately (the
-    // store persists them even across a crash, turning them into declines
-    // on the next offer round); the log repositions only once the last
-    // missing chunk lands, exactly like the legacy whole-store install.
-    if (!pending_bootstrap_.has_value() ||
-        pending_bootstrap_->base_index != chunk.base_index) {
-      return;  // stale stream; the next offer round resynchronizes
-    }
-    for (const protocol::ReplWrite& w : chunk.records) {
-      node_->engine().store().Apply(w.key, w.value);
-    }
-    pending_bootstrap_->missing.erase(chunk.seq);
-    if (pending_bootstrap_->missing.empty()) FinishBootstrapInstall();
+  // A chunk of the offered seed stream (numbered from 1). Records apply
+  // immediately (the store persists them even across a crash, turning them
+  // into declines on the next offer round); the log repositions only once
+  // the last missing chunk lands. A chunk outside the pending offer,
+  // including an unnumbered one, is stale: the next offer round
+  // resynchronizes.
+  if (chunk.seq == 0 || !pending_bootstrap_.has_value() ||
+      pending_bootstrap_->base_index != chunk.base_index) {
     return;
   }
-  // Legacy monolithic snapshot (seq == 0) from a mixed-version leader.
-  if (chunk.base_index > applied_index_) {
-    for (const protocol::ReplWrite& w : chunk.records) {
-      node_->engine().store().Apply(w.key, w.value);
-    }
-    log_.ResetTo(chunk.base_index, chunk.base_epoch);
-    consistent_prefix_ = chunk.base_index;
-    follower_watermark_ = chunk.base_index;
-    applied_index_ = chunk.base_index;
-    compact_floor_ = std::max(compact_floor_, chunk.base_index);
-    unresolved_prepares_.clear();
-    commit_entries_.clear();
-    unresolved_migrations_.clear();
-    fresh_as_of_ = loop()->Now();
-    stats_.snapshot_installs++;
+  for (const protocol::ReplWrite& w : chunk.records) {
+    node_->engine().store().Apply(w.key, w.value);
   }
-  auto ack = std::make_unique<ReplAppendAck>();
-  ack->from = self();
-  ack->to = chunk.from;
-  ack->group = group_.logical;
-  ack->epoch = election_.epoch();
-  ack->codec_mask = LocalCodecMask();
-  ack->ok = true;
-  ack->ack_index = consistent_prefix_;
-  network()->Send(std::move(ack));
+  pending_bootstrap_->missing.erase(chunk.seq);
+  if (pending_bootstrap_->missing.empty()) FinishBootstrapInstall();
 }
 
 void Replicator::WipeForBootstrap() {

@@ -193,9 +193,8 @@ class Replicator {
   /// re-offer is idempotent and picks up partially applied chunks as new
   /// declines, so interrupted re-seeds resume incrementally for free).
   void SendBootstrapSnapshot(NodeId follower);
-  /// Follower side: installs bootstrap snapshot chunks (migration_id ==
-  /// 0). seq != 0 marks a chunk of the offered stream; seq == 0 is the
-  /// legacy monolithic install, kept for mixed-version peers.
+  /// Follower side: installs the chunks of the offered bootstrap stream
+  /// (migration_id == 0, seq numbered from 1); anything else is stale.
   void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk);
   /// Follower side: hashes its own store spans against the offer and
   /// declines every chunk it already holds byte-identically.
@@ -203,7 +202,7 @@ class Replicator {
   /// Leader side: ships the chunks the follower did not decline.
   void OnSeedDecline(const protocol::ShardSeedDecline& decline);
   /// Follower side: every expected chunk arrived — position the log at
-  /// the snapshot boundary exactly as the legacy install did, and ack.
+  /// the snapshot boundary and ack.
   void FinishBootstrapInstall();
   /// Codecs this replica decodes, as advertised on acks/declines (raw
   /// only when the node's wan_compression knob is off).

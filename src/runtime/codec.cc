@@ -1,1123 +1,113 @@
 #include "runtime/codec.h"
 
-#include <cstring>
-#include <utility>
-#include <vector>
+#include <array>
 
 #include "baselines/store_messages.h"
 #include "common/logging.h"
+#include "common/wire.h"
 #include "protocol/messages.h"
 
 namespace geotp {
 namespace runtime {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Primitive writer / bounds-checked reader
-// ---------------------------------------------------------------------------
-
-class Writer {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v) { Raw(&v, sizeof(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { Raw(&v, sizeof(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Raw(const void* p, size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-  }
-  std::string out_;
+struct BodyCodec {
+  MessageType type = MessageType::kUnknown;
+  void (*encode)(const MessageBase& msg, wire::Writer& w) = nullptr;
+  std::unique_ptr<MessageBase> (*decode)(wire::Reader& r) = nullptr;
 };
 
-class Reader {
- public:
-  explicit Reader(const std::string& in) : in_(in) {}
+template <typename T>
+void EncodeBody(const MessageBase& msg, wire::Writer& w) {
+  w(static_cast<const T&>(msg));
+}
 
-  uint8_t U8() { uint8_t v = 0; Raw(&v, sizeof(v)); return v; }
-  uint16_t U16() { uint16_t v = 0; Raw(&v, sizeof(v)); return v; }
-  uint32_t U32() { uint32_t v = 0; Raw(&v, sizeof(v)); return v; }
-  uint64_t U64() { uint64_t v = 0; Raw(&v, sizeof(v)); return v; }
-  int64_t I64() { int64_t v = 0; Raw(&v, sizeof(v)); return v; }
-  int32_t I32() { int32_t v = 0; Raw(&v, sizeof(v)); return v; }
-  bool Bool() { return U8() != 0; }
-  std::string Str() {
-    const uint32_t n = U32();
-    if (!ok_ || in_.size() - pos_ < n) { ok_ = false; return std::string(); }
-    std::string s = in_.substr(pos_, n);
-    pos_ += n;
-    return s;
+template <typename T>
+std::unique_ptr<MessageBase> DecodeBody(wire::Reader& r) {
+  auto msg = std::make_unique<T>();
+  r(*msg);
+  return msg;
+}
+
+/// Body codecs indexed by MessageType tag; slot 0 (kUnknown) stays empty.
+template <typename... Ts>
+constexpr std::array<BodyCodec, sizeof...(Ts) + 1> BodyCodecs() {
+  std::array<BodyCodec, sizeof...(Ts) + 1> table{};
+  ((table[static_cast<size_t>(Ts::kMessageType)] =
+        BodyCodec{Ts::kMessageType, &EncodeBody<Ts>, &DecodeBody<Ts>}),
+   ...);
+  return table;
+}
+
+// Every concrete message, once. A tag outside the table fails to compile.
+constexpr auto kBodyCodecs = BodyCodecs<
+    protocol::ClientRoundRequest, protocol::ClientRoundResponse,
+    protocol::ClientFinishRequest, protocol::ClientTxnResult,
+    protocol::BranchExecuteRequest, protocol::BranchExecuteResponse,
+    protocol::PrepareRequest, protocol::PrepareBatch, protocol::VoteMessage,
+    protocol::DecisionRequest, protocol::DecisionBatch, protocol::DecisionAck,
+    protocol::PeerAbortRequest, protocol::ReplAppendRequest,
+    protocol::ReplAppendAck, protocol::ReplVoteRequest,
+    protocol::ReplVoteResponse, protocol::LeaderAnnounce,
+    protocol::NotLeaderResponse, protocol::FollowerReadRequest,
+    protocol::FollowerReadResponse, protocol::ShardMigrateRequest,
+    protocol::ShardMigrateCancel, protocol::ShardSnapshotChunk,
+    protocol::ShardSnapshotAck, protocol::ShardDeltaBatch,
+    protocol::ShardDeltaAck, protocol::ShardCutoverReady,
+    protocol::ShardMigrateAborted, protocol::ShardMapUpdate,
+    protocol::ShardRedirect, protocol::PingRequest, protocol::PingResponse,
+    baselines::StoreReadRequest, baselines::StoreReadResponse,
+    baselines::StorePrepareRequest, baselines::StorePrepareResponse,
+    baselines::StoreDecisionRequest, baselines::StoreDecisionAck,
+    baselines::YbBatchRequest, baselines::YbBatchResponse,
+    baselines::YbResolveRequest, protocol::OverloadedResponse,
+    protocol::ShardSeedOffer, protocol::ShardSeedDecline>();
+
+constexpr bool EveryTagHasACodec() {
+  for (size_t tag = 1; tag < kBodyCodecs.size(); ++tag) {
+    if (kBodyCodecs[tag].type != static_cast<MessageType>(tag)) return false;
   }
-  /// Guard for vector sizes: a corrupt length must not turn into a
-  /// multi-gigabyte allocation before the per-element reads fail.
-  uint32_t Count() {
-    const uint32_t n = U32();
-    if (!ok_ || in_.size() - pos_ < n) { ok_ = false; return 0; }
-    return n;
-  }
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == in_.size(); }
-
- private:
-  void Raw(void* p, size_t n) {
-    if (!ok_ || in_.size() - pos_ < n) { ok_ = false; return; }
-    std::memcpy(p, in_.data() + pos_, n);
-    pos_ += n;
-  }
-  const std::string& in_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
-// Shared compound fields
-// ---------------------------------------------------------------------------
-
-void PutStatus(Writer& w, const Status& s) {
-  w.U8(static_cast<uint8_t>(s.code()));
-  w.Str(s.message());
+  return true;
 }
-Status GetStatus(Reader& r) {
-  const auto code = static_cast<StatusCode>(r.U8());
-  return Status::FromCode(code, r.Str());
-}
-
-void PutXid(Writer& w, const Xid& x) {
-  w.U64(x.txn_id);
-  w.I32(x.data_source);
-}
-Xid GetXid(Reader& r) {
-  Xid x;
-  x.txn_id = r.U64();
-  x.data_source = r.I32();
-  return x;
-}
-
-void PutKey(Writer& w, const RecordKey& k) {
-  w.U32(k.table);
-  w.U64(k.key);
-}
-RecordKey GetKey(Reader& r) {
-  RecordKey k;
-  k.table = r.U32();
-  k.key = r.U64();
-  return k;
-}
-
-void PutRange(Writer& w, const sharding::ShardRange& s) {
-  w.U32(s.table);
-  w.U64(s.lo);
-  w.U64(s.hi);
-  w.I32(s.owner);
-  w.U64(s.version);
-}
-sharding::ShardRange GetRange(Reader& r) {
-  sharding::ShardRange s;
-  s.table = r.U32();
-  s.lo = r.U64();
-  s.hi = r.U64();
-  s.owner = r.I32();
-  s.version = r.U64();
-  return s;
-}
-
-void PutOp(Writer& w, const protocol::ClientOp& op) {
-  PutKey(w, op.key);
-  w.Bool(op.is_write);
-  w.I64(op.value);
-  w.Bool(op.is_delta);
-}
-protocol::ClientOp GetOp(Reader& r) {
-  protocol::ClientOp op;
-  op.key = GetKey(r);
-  op.is_write = r.Bool();
-  op.value = r.I64();
-  op.is_delta = r.Bool();
-  return op;
-}
-
-void PutWrite(Writer& w, const protocol::ReplWrite& rw) {
-  PutKey(w, rw.key);
-  w.I64(rw.value);
-}
-protocol::ReplWrite GetWrite(Reader& r) {
-  protocol::ReplWrite rw;
-  rw.key = GetKey(r);
-  rw.value = r.I64();
-  return rw;
-}
-
-void PutMigration(Writer& w, const protocol::MigrationRecord& m) {
-  w.U64(m.migration_id);
-  PutRange(w, m.range);
-  w.I32(m.dest);
-  w.I32(m.dest_leader);
-  w.U64(m.new_version);
-  w.I32(m.balancer);
-  w.I64(m.timeout);
-  w.U64(m.delta_next_seq);
-}
-protocol::MigrationRecord GetMigration(Reader& r) {
-  protocol::MigrationRecord m;
-  m.migration_id = r.U64();
-  m.range = GetRange(r);
-  m.dest = r.I32();
-  m.dest_leader = r.I32();
-  m.new_version = r.U64();
-  m.balancer = r.I32();
-  m.timeout = r.I64();
-  m.delta_next_seq = r.U64();
-  return m;
-}
-
-void PutEntry(Writer& w, const protocol::ReplEntry& e) {
-  w.U64(e.index);
-  w.U64(e.epoch);
-  w.U8(static_cast<uint8_t>(e.type));
-  PutXid(w, e.xid);
-  w.I32(e.coordinator);
-  w.U32(static_cast<uint32_t>(e.writes.size()));
-  for (const auto& rw : e.writes) PutWrite(w, rw);
-  w.I64(e.at);
-  w.Bool(e.migration != nullptr);
-  if (e.migration) PutMigration(w, *e.migration);
-  w.U64(e.ingest_migration_id);
-  w.U64(e.ingest_chunk_seq);
-  w.U64(e.ingest_delta_seq);
-  w.U64(e.ingest_content_hash);
-}
-protocol::ReplEntry GetEntry(Reader& r) {
-  protocol::ReplEntry e;
-  e.index = r.U64();
-  e.epoch = r.U64();
-  e.type = static_cast<protocol::ReplEntryType>(r.U8());
-  e.xid = GetXid(r);
-  e.coordinator = r.I32();
-  const uint32_t n = r.Count();
-  e.writes.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) e.writes.push_back(GetWrite(r));
-  e.at = r.I64();
-  if (r.Bool()) {
-    e.migration =
-        std::make_shared<const protocol::MigrationRecord>(GetMigration(r));
-  }
-  e.ingest_migration_id = r.U64();
-  e.ingest_chunk_seq = r.U64();
-  e.ingest_delta_seq = r.U64();
-  e.ingest_content_hash = r.U64();
-  return e;
-}
-
-void PutDigest(Writer& w, const protocol::SeedDigest& d) {
-  w.U64(d.seq);
-  w.U64(d.hash);
-  PutKey(w, d.lo);
-  PutKey(w, d.hi);
-  w.Bool(d.last);
-}
-protocol::SeedDigest GetDigest(Reader& r) {
-  protocol::SeedDigest d;
-  d.seq = r.U64();
-  d.hash = r.U64();
-  d.lo = GetKey(r);
-  d.hi = GetKey(r);
-  d.last = r.Bool();
-  return d;
-}
-
-void PutU64Vec(Writer& w, const std::vector<uint64_t>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (uint64_t item : v) w.U64(item);
-}
-std::vector<uint64_t> GetU64Vec(Reader& r) {
-  const uint32_t n = r.Count();
-  std::vector<uint64_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.U64());
-  return v;
-}
-
-void PutStagedOp(Writer& w, const baselines::StagedOp& op) {
-  PutKey(w, op.key);
-  w.U64(op.expected_version);
-  w.Bool(op.is_write);
-  w.I64(op.write_value);
-}
-baselines::StagedOp GetStagedOp(Reader& r) {
-  baselines::StagedOp op;
-  op.key = GetKey(r);
-  op.expected_version = r.U64();
-  op.is_write = r.Bool();
-  op.write_value = r.I64();
-  return op;
-}
-
-void PutReadResult(Writer& w, const baselines::ReadResult& rr) {
-  w.I64(rr.value);
-  w.U64(rr.version);
-}
-baselines::ReadResult GetReadResult(Reader& r) {
-  baselines::ReadResult rr;
-  rr.value = r.I64();
-  rr.version = r.U64();
-  return rr;
-}
-
-template <typename T, typename PutFn>
-void PutVec(Writer& w, const std::vector<T>& v, PutFn put) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const T& item : v) put(w, item);
-}
-template <typename T, typename GetFn>
-std::vector<T> GetVec(Reader& r, GetFn get) {
-  const uint32_t n = r.Count();
-  std::vector<T> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(get(r));
-  return v;
-}
-
-void PutI64Vec(Writer& w, const std::vector<int64_t>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (int64_t item : v) w.I64(item);
-}
-std::vector<int64_t> GetI64Vec(Reader& r) {
-  const uint32_t n = r.Count();
-  std::vector<int64_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.I64());
-  return v;
-}
-
-void PutNodeVec(Writer& w, const std::vector<NodeId>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (NodeId item : v) w.I32(item);
-}
-std::vector<NodeId> GetNodeVec(Reader& r) {
-  const uint32_t n = r.Count();
-  std::vector<NodeId> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.I32());
-  return v;
-}
+static_assert(EveryTagHasACodec(),
+              "each MessageType needs exactly one struct in kBodyCodecs");
+static_assert(kBodyCodecs.size() ==
+                  static_cast<size_t>(MessageType::kShardSeedDecline) + 1,
+              "every MessageType needs an entry in kBodyCodecs");
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Encode
-// ---------------------------------------------------------------------------
-
 std::string EncodeMessage(const MessageBase& msg) {
-  using protocol::ClientRoundRequest;
-  Writer w;
-  w.U16(static_cast<uint16_t>(msg.type()));
-  w.I32(msg.from);
-  w.I32(msg.to);
+  const auto tag = static_cast<uint16_t>(msg.type());
+  GEOTP_CHECK(tag != 0 && tag < kBodyCodecs.size(),
+              "codec: cannot encode message type " << tag);
+  std::string out;
+  wire::Writer w(&out);
+  w(tag, msg.from, msg.to);
   // Trace context: one absence byte for the (default) unsampled case so
   // disabled tracing costs one wire byte, not 24.
   if (msg.trace.valid()) {
-    w.U8(1);
-    w.U64(msg.trace.trace_id);
-    w.U64(msg.trace.span_id);
-    w.U64(msg.trace.parent_span_id);
+    w(uint8_t{1}, msg.trace.trace_id, msg.trace.span_id,
+      msg.trace.parent_span_id);
   } else {
-    w.U8(0);
+    w(uint8_t{0});
   }
-  switch (msg.type()) {
-    case MessageType::kClientRoundRequest: {
-      const auto& m = static_cast<const protocol::ClientRoundRequest&>(msg);
-      w.U64(m.client_tag);
-      w.U64(m.txn_id);
-      w.U32(m.tenant);
-      PutVec(w, m.ops, PutOp);
-      w.Bool(m.last_round);
-      break;
-    }
-    case MessageType::kClientRoundResponse: {
-      const auto& m = static_cast<const protocol::ClientRoundResponse&>(msg);
-      w.U64(m.client_tag);
-      w.U64(m.txn_id);
-      PutStatus(w, m.status);
-      PutI64Vec(w, m.values);
-      break;
-    }
-    case MessageType::kClientFinishRequest: {
-      const auto& m = static_cast<const protocol::ClientFinishRequest&>(msg);
-      w.U64(m.client_tag);
-      w.U64(m.txn_id);
-      w.Bool(m.commit);
-      break;
-    }
-    case MessageType::kClientTxnResult: {
-      const auto& m = static_cast<const protocol::ClientTxnResult&>(msg);
-      w.U64(m.client_tag);
-      w.U64(m.txn_id);
-      PutStatus(w, m.status);
-      break;
-    }
-    case MessageType::kBranchExecuteRequest: {
-      const auto& m = static_cast<const protocol::BranchExecuteRequest&>(msg);
-      PutXid(w, m.xid);
-      w.U64(m.round_seq);
-      w.Bool(m.begin_branch);
-      PutVec(w, m.ops, PutOp);
-      w.Bool(m.last_statement);
-      PutNodeVec(w, m.peers);
-      w.I32(m.coordinator);
-      break;
-    }
-    case MessageType::kBranchExecuteResponse: {
-      const auto& m = static_cast<const protocol::BranchExecuteResponse&>(msg);
-      PutXid(w, m.xid);
-      w.U64(m.round_seq);
-      PutStatus(w, m.status);
-      PutI64Vec(w, m.values);
-      w.I64(m.local_exec_latency);
-      w.Bool(m.rolled_back);
-      break;
-    }
-    case MessageType::kPrepareRequest: {
-      const auto& m = static_cast<const protocol::PrepareRequest&>(msg);
-      PutXid(w, m.xid);
-      break;
-    }
-    case MessageType::kPrepareBatch: {
-      const auto& m = static_cast<const protocol::PrepareBatch&>(msg);
-      PutVec(w, m.xids, PutXid);
-      break;
-    }
-    case MessageType::kVoteMessage: {
-      const auto& m = static_cast<const protocol::VoteMessage&>(msg);
-      PutXid(w, m.xid);
-      w.U8(static_cast<uint8_t>(m.vote));
-      break;
-    }
-    case MessageType::kDecisionRequest: {
-      const auto& m = static_cast<const protocol::DecisionRequest&>(msg);
-      PutXid(w, m.xid);
-      w.Bool(m.commit);
-      w.Bool(m.one_phase);
-      break;
-    }
-    case MessageType::kDecisionBatch: {
-      const auto& m = static_cast<const protocol::DecisionBatch&>(msg);
-      PutVec(w, m.items, [](Writer& w2, const protocol::DecisionItem& it) {
-        PutXid(w2, it.xid);
-        w2.Bool(it.commit);
-        w2.Bool(it.one_phase);
-      });
-      break;
-    }
-    case MessageType::kDecisionAck: {
-      const auto& m = static_cast<const protocol::DecisionAck&>(msg);
-      PutXid(w, m.xid);
-      w.Bool(m.committed);
-      w.Bool(m.one_phase);
-      PutStatus(w, m.status);
-      break;
-    }
-    case MessageType::kPeerAbortRequest: {
-      const auto& m = static_cast<const protocol::PeerAbortRequest&>(msg);
-      w.U64(m.txn_id);
-      w.I32(m.origin);
-      break;
-    }
-    case MessageType::kReplAppendRequest: {
-      const auto& m = static_cast<const protocol::ReplAppendRequest&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.U64(m.prev_index);
-      w.U64(m.prev_epoch);
-      PutVec(w, m.entries, PutEntry);
-      w.U64(m.commit_watermark);
-      w.U64(m.compact_floor);
-      w.U8(m.payload_codec);
-      w.U32(m.payload_uncompressed_len);
-      w.U64(m.payload_hash);
-      w.Str(m.payload);
-      break;
-    }
-    case MessageType::kReplAppendAck: {
-      const auto& m = static_cast<const protocol::ReplAppendAck&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.U64(m.ack_index);
-      w.Bool(m.ok);
-      w.U32(m.codec_mask);
-      break;
-    }
-    case MessageType::kReplVoteRequest: {
-      const auto& m = static_cast<const protocol::ReplVoteRequest&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.U64(m.last_log_epoch);
-      w.U64(m.last_log_index);
-      break;
-    }
-    case MessageType::kReplVoteResponse: {
-      const auto& m = static_cast<const protocol::ReplVoteResponse&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.Bool(m.granted);
-      w.U64(m.voter_last_index);
-      break;
-    }
-    case MessageType::kLeaderAnnounce: {
-      const auto& m = static_cast<const protocol::LeaderAnnounce&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.I32(m.leader);
-      break;
-    }
-    case MessageType::kNotLeaderResponse: {
-      const auto& m = static_cast<const protocol::NotLeaderResponse&>(msg);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      w.I32(m.leader_hint);
-      break;
-    }
-    case MessageType::kFollowerReadRequest: {
-      const auto& m = static_cast<const protocol::FollowerReadRequest&>(msg);
-      w.I32(m.group);
-      w.U64(m.txn_id);
-      w.U64(m.round_seq);
-      PutVec(w, m.keys, PutKey);
-      w.I64(m.max_staleness);
-      break;
-    }
-    case MessageType::kFollowerReadResponse: {
-      const auto& m = static_cast<const protocol::FollowerReadResponse&>(msg);
-      w.I32(m.group);
-      w.U64(m.txn_id);
-      w.U64(m.round_seq);
-      w.Bool(m.ok);
-      w.I64(m.staleness);
-      PutI64Vec(w, m.values);
-      break;
-    }
-    case MessageType::kShardMigrateRequest: {
-      const auto& m = static_cast<const protocol::ShardMigrateRequest&>(msg);
-      w.U64(m.migration_id);
-      PutRange(w, m.range);
-      w.I32(m.dest);
-      w.I32(m.dest_leader);
-      w.U64(m.new_version);
-      w.I64(m.timeout);
-      break;
-    }
-    case MessageType::kShardMigrateCancel: {
-      const auto& m = static_cast<const protocol::ShardMigrateCancel&>(msg);
-      w.U64(m.migration_id);
-      break;
-    }
-    case MessageType::kShardSnapshotChunk: {
-      const auto& m = static_cast<const protocol::ShardSnapshotChunk&>(msg);
-      w.U64(m.migration_id);
-      w.I32(m.group);
-      PutRange(w, m.range);
-      w.U64(m.seq);
-      w.Bool(m.last);
-      w.U64(m.epoch);
-      w.U64(m.base_index);
-      w.U64(m.base_epoch);
-      PutVec(w, m.records, PutWrite);
-      w.U8(m.payload_codec);
-      w.U32(m.payload_uncompressed_len);
-      w.U64(m.content_hash);
-      w.Str(m.payload);
-      break;
-    }
-    case MessageType::kShardSnapshotAck: {
-      const auto& m = static_cast<const protocol::ShardSnapshotAck&>(msg);
-      w.U64(m.migration_id);
-      w.U64(m.seq);
-      w.U64(m.credit);
-      w.U32(m.codec_mask);
-      break;
-    }
-    case MessageType::kShardDeltaBatch: {
-      const auto& m = static_cast<const protocol::ShardDeltaBatch&>(msg);
-      w.U64(m.migration_id);
-      w.U64(m.seq);
-      PutVec(w, m.writes, PutWrite);
-      break;
-    }
-    case MessageType::kShardDeltaAck: {
-      const auto& m = static_cast<const protocol::ShardDeltaAck&>(msg);
-      w.U64(m.migration_id);
-      w.U64(m.seq);
-      break;
-    }
-    case MessageType::kShardCutoverReady: {
-      const auto& m = static_cast<const protocol::ShardCutoverReady&>(msg);
-      w.U64(m.migration_id);
-      PutRange(w, m.range);
-      w.Bool(m.logged);
-      break;
-    }
-    case MessageType::kShardMigrateAborted: {
-      const auto& m = static_cast<const protocol::ShardMigrateAborted&>(msg);
-      w.U64(m.migration_id);
-      break;
-    }
-    case MessageType::kShardSeedOffer: {
-      const auto& m = static_cast<const protocol::ShardSeedOffer&>(msg);
-      w.U64(m.migration_id);
-      w.I32(m.group);
-      PutRange(w, m.range);
-      w.U64(m.epoch);
-      w.U64(m.base_index);
-      w.U64(m.base_epoch);
-      PutVec(w, m.digests, PutDigest);
-      break;
-    }
-    case MessageType::kShardSeedDecline: {
-      const auto& m = static_cast<const protocol::ShardSeedDecline&>(msg);
-      w.U64(m.migration_id);
-      w.I32(m.group);
-      w.U64(m.epoch);
-      PutU64Vec(w, m.declined);
-      w.U64(m.delta_seq);
-      w.U64(m.credit);
-      w.U32(m.codec_mask);
-      break;
-    }
-    case MessageType::kShardMapUpdate: {
-      const auto& m = static_cast<const protocol::ShardMapUpdate&>(msg);
-      PutVec(w, m.entries, PutRange);
-      break;
-    }
-    case MessageType::kShardRedirect: {
-      const auto& m = static_cast<const protocol::ShardRedirect&>(msg);
-      w.U64(m.txn_id);
-      w.U64(m.round_seq);
-      PutRange(w, m.entry);
-      break;
-    }
-    case MessageType::kPingRequest: {
-      const auto& m = static_cast<const protocol::PingRequest&>(msg);
-      w.U64(m.seq);
-      w.I64(m.sent_at);
-      w.U64(m.shard_epoch);
-      break;
-    }
-    case MessageType::kPingResponse: {
-      const auto& m = static_cast<const protocol::PingResponse&>(msg);
-      w.U64(m.seq);
-      w.I64(m.sent_at);
-      w.U64(m.inflight);
-      w.U64(m.run_queue);
-      w.U64(m.run_queue_limit);
-      w.U64(m.shard_epoch);
-      PutVec(w, m.map_entries, PutRange);
-      break;
-    }
-    case MessageType::kStoreReadRequest: {
-      const auto& m = static_cast<const baselines::StoreReadRequest&>(msg);
-      w.U64(m.txn);
-      w.U64(m.req_id);
-      PutVec(w, m.keys, PutKey);
-      break;
-    }
-    case MessageType::kStoreReadResponse: {
-      const auto& m = static_cast<const baselines::StoreReadResponse&>(msg);
-      w.U64(m.txn);
-      w.U64(m.req_id);
-      PutStatus(w, m.status);
-      PutVec(w, m.results, PutReadResult);
-      break;
-    }
-    case MessageType::kStorePrepareRequest: {
-      const auto& m = static_cast<const baselines::StorePrepareRequest&>(msg);
-      w.U64(m.txn);
-      PutVec(w, m.ops, PutStagedOp);
-      break;
-    }
-    case MessageType::kStorePrepareResponse: {
-      const auto& m = static_cast<const baselines::StorePrepareResponse&>(msg);
-      w.U64(m.txn);
-      PutStatus(w, m.status);
-      break;
-    }
-    case MessageType::kStoreDecisionRequest: {
-      const auto& m = static_cast<const baselines::StoreDecisionRequest&>(msg);
-      w.U64(m.txn);
-      w.Bool(m.commit);
-      break;
-    }
-    case MessageType::kStoreDecisionAck: {
-      const auto& m = static_cast<const baselines::StoreDecisionAck&>(msg);
-      w.U64(m.txn);
-      w.Bool(m.commit);
-      break;
-    }
-    case MessageType::kYbBatchRequest: {
-      const auto& m = static_cast<const baselines::YbBatchRequest&>(msg);
-      w.U64(m.txn);
-      w.U64(m.req_id);
-      PutVec(w, m.ops, PutStagedOp);
-      break;
-    }
-    case MessageType::kYbBatchResponse: {
-      const auto& m = static_cast<const baselines::YbBatchResponse&>(msg);
-      w.U64(m.txn);
-      w.U64(m.req_id);
-      PutStatus(w, m.status);
-      PutVec(w, m.results, PutReadResult);
-      break;
-    }
-    case MessageType::kYbResolveRequest: {
-      const auto& m = static_cast<const baselines::YbResolveRequest&>(msg);
-      w.U64(m.txn);
-      w.Bool(m.commit);
-      break;
-    }
-    case MessageType::kOverloadedResponse: {
-      const auto& m = static_cast<const protocol::OverloadedResponse&>(msg);
-      w.U64(m.client_tag);
-      w.U32(m.tenant);
-      w.I64(m.retry_after_hint);
-      break;
-    }
-    case MessageType::kUnknown:
-      GEOTP_CHECK(false, "codec: cannot encode kUnknown message");
-  }
-  return w.Take();
+  kBodyCodecs[tag].encode(msg, w);
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Decode
-// ---------------------------------------------------------------------------
-
 std::unique_ptr<MessageBase> DecodeMessage(const std::string& bytes) {
-  Reader r(bytes);
-  const auto type = static_cast<MessageType>(r.U16());
-  const NodeId from = r.I32();
-  const NodeId to = r.I32();
+  wire::Reader r(bytes);
+  uint16_t tag = 0;
+  NodeId from = kInvalidNode;
+  NodeId to = kInvalidNode;
+  uint8_t traced = 0;
+  r(tag, from, to, traced);
   obs::TraceContext trace;
-  if (r.U8() != 0) {
-    trace.trace_id = r.U64();
-    trace.span_id = r.U64();
-    trace.parent_span_id = r.U64();
-  }
-  if (!r.ok()) return nullptr;
-
-  std::unique_ptr<MessageBase> out;
-  switch (type) {
-    case MessageType::kClientRoundRequest: {
-      auto m = std::make_unique<protocol::ClientRoundRequest>();
-      m->client_tag = r.U64();
-      m->txn_id = r.U64();
-      m->tenant = r.U32();
-      m->ops = GetVec<protocol::ClientOp>(r, GetOp);
-      m->last_round = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kClientRoundResponse: {
-      auto m = std::make_unique<protocol::ClientRoundResponse>();
-      m->client_tag = r.U64();
-      m->txn_id = r.U64();
-      m->status = GetStatus(r);
-      m->values = GetI64Vec(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kClientFinishRequest: {
-      auto m = std::make_unique<protocol::ClientFinishRequest>();
-      m->client_tag = r.U64();
-      m->txn_id = r.U64();
-      m->commit = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kClientTxnResult: {
-      auto m = std::make_unique<protocol::ClientTxnResult>();
-      m->client_tag = r.U64();
-      m->txn_id = r.U64();
-      m->status = GetStatus(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kBranchExecuteRequest: {
-      auto m = std::make_unique<protocol::BranchExecuteRequest>();
-      m->xid = GetXid(r);
-      m->round_seq = r.U64();
-      m->begin_branch = r.Bool();
-      m->ops = GetVec<protocol::ClientOp>(r, GetOp);
-      m->last_statement = r.Bool();
-      m->peers = GetNodeVec(r);
-      m->coordinator = r.I32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kBranchExecuteResponse: {
-      auto m = std::make_unique<protocol::BranchExecuteResponse>();
-      m->xid = GetXid(r);
-      m->round_seq = r.U64();
-      m->status = GetStatus(r);
-      m->values = GetI64Vec(r);
-      m->local_exec_latency = r.I64();
-      m->rolled_back = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kPrepareRequest: {
-      auto m = std::make_unique<protocol::PrepareRequest>();
-      m->xid = GetXid(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kPrepareBatch: {
-      auto m = std::make_unique<protocol::PrepareBatch>();
-      m->xids = GetVec<Xid>(r, GetXid);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kVoteMessage: {
-      auto m = std::make_unique<protocol::VoteMessage>();
-      m->xid = GetXid(r);
-      m->vote = static_cast<protocol::Vote>(r.U8());
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kDecisionRequest: {
-      auto m = std::make_unique<protocol::DecisionRequest>();
-      m->xid = GetXid(r);
-      m->commit = r.Bool();
-      m->one_phase = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kDecisionBatch: {
-      auto m = std::make_unique<protocol::DecisionBatch>();
-      m->items = GetVec<protocol::DecisionItem>(r, [](Reader& r2) {
-        protocol::DecisionItem it;
-        it.xid = GetXid(r2);
-        it.commit = r2.Bool();
-        it.one_phase = r2.Bool();
-        return it;
-      });
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kDecisionAck: {
-      auto m = std::make_unique<protocol::DecisionAck>();
-      m->xid = GetXid(r);
-      m->committed = r.Bool();
-      m->one_phase = r.Bool();
-      m->status = GetStatus(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kPeerAbortRequest: {
-      auto m = std::make_unique<protocol::PeerAbortRequest>();
-      m->txn_id = r.U64();
-      m->origin = r.I32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kReplAppendRequest: {
-      auto m = std::make_unique<protocol::ReplAppendRequest>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->prev_index = r.U64();
-      m->prev_epoch = r.U64();
-      m->entries = GetVec<protocol::ReplEntry>(r, GetEntry);
-      m->commit_watermark = r.U64();
-      m->compact_floor = r.U64();
-      m->payload_codec = r.U8();
-      m->payload_uncompressed_len = r.U32();
-      m->payload_hash = r.U64();
-      m->payload = r.Str();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kReplAppendAck: {
-      auto m = std::make_unique<protocol::ReplAppendAck>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->ack_index = r.U64();
-      m->ok = r.Bool();
-      m->codec_mask = r.U32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kReplVoteRequest: {
-      auto m = std::make_unique<protocol::ReplVoteRequest>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->last_log_epoch = r.U64();
-      m->last_log_index = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kReplVoteResponse: {
-      auto m = std::make_unique<protocol::ReplVoteResponse>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->granted = r.Bool();
-      m->voter_last_index = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kLeaderAnnounce: {
-      auto m = std::make_unique<protocol::LeaderAnnounce>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->leader = r.I32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kNotLeaderResponse: {
-      auto m = std::make_unique<protocol::NotLeaderResponse>();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->leader_hint = r.I32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kFollowerReadRequest: {
-      auto m = std::make_unique<protocol::FollowerReadRequest>();
-      m->group = r.I32();
-      m->txn_id = r.U64();
-      m->round_seq = r.U64();
-      m->keys = GetVec<RecordKey>(r, GetKey);
-      m->max_staleness = r.I64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kFollowerReadResponse: {
-      auto m = std::make_unique<protocol::FollowerReadResponse>();
-      m->group = r.I32();
-      m->txn_id = r.U64();
-      m->round_seq = r.U64();
-      m->ok = r.Bool();
-      m->staleness = r.I64();
-      m->values = GetI64Vec(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardMigrateRequest: {
-      auto m = std::make_unique<protocol::ShardMigrateRequest>();
-      m->migration_id = r.U64();
-      m->range = GetRange(r);
-      m->dest = r.I32();
-      m->dest_leader = r.I32();
-      m->new_version = r.U64();
-      m->timeout = r.I64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardMigrateCancel: {
-      auto m = std::make_unique<protocol::ShardMigrateCancel>();
-      m->migration_id = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardSnapshotChunk: {
-      auto m = std::make_unique<protocol::ShardSnapshotChunk>();
-      m->migration_id = r.U64();
-      m->group = r.I32();
-      m->range = GetRange(r);
-      m->seq = r.U64();
-      m->last = r.Bool();
-      m->epoch = r.U64();
-      m->base_index = r.U64();
-      m->base_epoch = r.U64();
-      m->records = GetVec<protocol::ReplWrite>(r, GetWrite);
-      m->payload_codec = r.U8();
-      m->payload_uncompressed_len = r.U32();
-      m->content_hash = r.U64();
-      m->payload = r.Str();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardSnapshotAck: {
-      auto m = std::make_unique<protocol::ShardSnapshotAck>();
-      m->migration_id = r.U64();
-      m->seq = r.U64();
-      m->credit = r.U64();
-      m->codec_mask = r.U32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardDeltaBatch: {
-      auto m = std::make_unique<protocol::ShardDeltaBatch>();
-      m->migration_id = r.U64();
-      m->seq = r.U64();
-      m->writes = GetVec<protocol::ReplWrite>(r, GetWrite);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardDeltaAck: {
-      auto m = std::make_unique<protocol::ShardDeltaAck>();
-      m->migration_id = r.U64();
-      m->seq = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardCutoverReady: {
-      auto m = std::make_unique<protocol::ShardCutoverReady>();
-      m->migration_id = r.U64();
-      m->range = GetRange(r);
-      m->logged = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardMigrateAborted: {
-      auto m = std::make_unique<protocol::ShardMigrateAborted>();
-      m->migration_id = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardSeedOffer: {
-      auto m = std::make_unique<protocol::ShardSeedOffer>();
-      m->migration_id = r.U64();
-      m->group = r.I32();
-      m->range = GetRange(r);
-      m->epoch = r.U64();
-      m->base_index = r.U64();
-      m->base_epoch = r.U64();
-      m->digests = GetVec<protocol::SeedDigest>(r, GetDigest);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardSeedDecline: {
-      auto m = std::make_unique<protocol::ShardSeedDecline>();
-      m->migration_id = r.U64();
-      m->group = r.I32();
-      m->epoch = r.U64();
-      m->declined = GetU64Vec(r);
-      m->delta_seq = r.U64();
-      m->credit = r.U64();
-      m->codec_mask = r.U32();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardMapUpdate: {
-      auto m = std::make_unique<protocol::ShardMapUpdate>();
-      m->entries = GetVec<sharding::ShardRange>(r, GetRange);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kShardRedirect: {
-      auto m = std::make_unique<protocol::ShardRedirect>();
-      m->txn_id = r.U64();
-      m->round_seq = r.U64();
-      m->entry = GetRange(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kPingRequest: {
-      auto m = std::make_unique<protocol::PingRequest>();
-      m->seq = r.U64();
-      m->sent_at = r.I64();
-      m->shard_epoch = r.U64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kPingResponse: {
-      auto m = std::make_unique<protocol::PingResponse>();
-      m->seq = r.U64();
-      m->sent_at = r.I64();
-      m->inflight = r.U64();
-      m->run_queue = r.U64();
-      m->run_queue_limit = r.U64();
-      m->shard_epoch = r.U64();
-      m->map_entries = GetVec<sharding::ShardRange>(r, GetRange);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStoreReadRequest: {
-      auto m = std::make_unique<baselines::StoreReadRequest>();
-      m->txn = r.U64();
-      m->req_id = r.U64();
-      m->keys = GetVec<RecordKey>(r, GetKey);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStoreReadResponse: {
-      auto m = std::make_unique<baselines::StoreReadResponse>();
-      m->txn = r.U64();
-      m->req_id = r.U64();
-      m->status = GetStatus(r);
-      m->results = GetVec<baselines::ReadResult>(r, GetReadResult);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStorePrepareRequest: {
-      auto m = std::make_unique<baselines::StorePrepareRequest>();
-      m->txn = r.U64();
-      m->ops = GetVec<baselines::StagedOp>(r, GetStagedOp);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStorePrepareResponse: {
-      auto m = std::make_unique<baselines::StorePrepareResponse>();
-      m->txn = r.U64();
-      m->status = GetStatus(r);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStoreDecisionRequest: {
-      auto m = std::make_unique<baselines::StoreDecisionRequest>();
-      m->txn = r.U64();
-      m->commit = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kStoreDecisionAck: {
-      auto m = std::make_unique<baselines::StoreDecisionAck>();
-      m->txn = r.U64();
-      m->commit = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kYbBatchRequest: {
-      auto m = std::make_unique<baselines::YbBatchRequest>();
-      m->txn = r.U64();
-      m->req_id = r.U64();
-      m->ops = GetVec<baselines::StagedOp>(r, GetStagedOp);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kYbBatchResponse: {
-      auto m = std::make_unique<baselines::YbBatchResponse>();
-      m->txn = r.U64();
-      m->req_id = r.U64();
-      m->status = GetStatus(r);
-      m->results = GetVec<baselines::ReadResult>(r, GetReadResult);
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kYbResolveRequest: {
-      auto m = std::make_unique<baselines::YbResolveRequest>();
-      m->txn = r.U64();
-      m->commit = r.Bool();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kOverloadedResponse: {
-      auto m = std::make_unique<protocol::OverloadedResponse>();
-      m->client_tag = r.U64();
-      m->tenant = r.U32();
-      m->retry_after_hint = r.I64();
-      out = std::move(m);
-      break;
-    }
-    case MessageType::kUnknown:
-      return nullptr;
-  }
-  if (out == nullptr || !r.AtEnd()) return nullptr;
+  if (traced != 0) r(trace.trace_id, trace.span_id, trace.parent_span_id);
+  if (!r.ok() || tag == 0 || tag >= kBodyCodecs.size()) return nullptr;
+  std::unique_ptr<MessageBase> out = kBodyCodecs[tag].decode(r);
+  if (!r.AtEnd()) return nullptr;
   out->from = from;
   out->to = to;
   out->trace = trace;

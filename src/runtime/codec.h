@@ -3,15 +3,19 @@
 // socket.
 //
 // Format: little-endian fixed-width integers, length-prefixed strings and
-// vectors. The first two bytes are the MessageType tag, then `from`/`to`,
-// then the type's fields in declaration order. The format is a process-
-// boundary transport detail, not a storage format — there is no version
-// negotiation; both ends of a loopback deployment run the same binary.
+// vectors. The envelope is the u16 MessageType tag, `from`/`to`, and the
+// trace context (one absence byte when unsampled); then the message's
+// fields in the order its Fields() list names them. The envelope is
+// written here by hand; the fields come from the walker in common/wire.h,
+// the same one the WAN packing uses, so no field list is repeated in the
+// codec. The format is a process-boundary transport detail, not a storage
+// format: there is no version negotiation, and both ends of a loopback
+// deployment run the same binary.
 //
 // The simulator never touches this codec (messages cross sim::Network as
-// live C++ objects); the contract tests round-trip every type through it
-// so a message added without codec support fails CI instead of failing at
-// runtime in the loopback smoke.
+// live C++ objects). codec.cc's type table fails the build when a
+// MessageType has no struct, and the contract tests round-trip every type
+// through the codec.
 #ifndef GEOTP_RUNTIME_CODEC_H_
 #define GEOTP_RUNTIME_CODEC_H_
 

@@ -151,9 +151,13 @@ void ActorExecutor::Run() {
 
 namespace {
 
-bool WriteAll(int fd, const char* data, size_t len) {
+/// Writes all of `data`. Sockets go through send(MSG_NOSIGNAL): a peer
+/// that closed its end surfaces as EPIPE, a failed write the caller logs,
+/// instead of a SIGPIPE that kills the process. Files use write().
+bool WriteAll(int fd, const char* data, size_t len, bool socket) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    const ssize_t n = socket ? ::send(fd, data, len, MSG_NOSIGNAL)
+                             : ::write(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -256,7 +260,7 @@ void LoopbackTransport::Send(std::unique_ptr<MessageBase> msg) {
     // buffer cannot wedge local delivery.
     std::lock_guard<std::mutex> lock(*write_mu);
     if (shutdown_.load()) return;  // fd is closed (or about to be)
-    if (!WriteAll(fd, frame.data(), frame.size())) {
+    if (!WriteAll(fd, frame.data(), frame.size(), /*socket=*/true)) {
       GEOTP_WARN("loopback: write to node " << to << " failed");
       return;
     }
@@ -441,7 +445,7 @@ void LoopbackStableStorage::Run() {
     jobs_.pop_front();
     lock.unlock();
     if (!job.batch.empty()) {
-      WriteAll(fd_, job.batch.data(), job.batch.size());
+      WriteAll(fd_, job.batch.data(), job.batch.size(), /*socket=*/false);
     }
     ::fdatasync(fd_);
     fsyncs_.fetch_add(1);
@@ -494,11 +498,19 @@ void LoopbackRuntime::Shutdown() {
     shut_down_ = true;
   }
   transport_.Shutdown();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [node, executor] : executors_) {
-    (void)node;
-    executor->Stop();
+  // Stop() joins the executor threads, and a handler still draining there
+  // may Send -> ExecutorFor, which takes mu_. So collect the executors
+  // under mu_ and stop them without it. The map owns them until the
+  // destructor, so the pointers stay valid.
+  std::vector<ActorExecutor*> executors;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [node, executor] : executors_) {
+      (void)node;
+      executors.push_back(executor.get());
+    }
   }
+  for (ActorExecutor* executor : executors) executor->Stop();
 }
 
 }  // namespace runtime

@@ -11,7 +11,6 @@
 #ifndef GEOTP_RUNTIME_MESSAGE_H_
 #define GEOTP_RUNTIME_MESSAGE_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
@@ -93,11 +92,17 @@ struct MessageBase {
   obs::TraceContext trace;
   virtual ~MessageBase() = default;
 
-  /// Dispatch tag; every concrete message overrides this.
+  /// Dispatch tag; every concrete message fixes it through Message<>.
   virtual MessageType type() const { return MessageType::kUnknown; }
+};
 
-  /// Approximate wire size, only used for traffic accounting.
-  virtual size_t WireSize() const { return 64; }
+/// Tagged base of every concrete message: the struct names its
+/// MessageType once, and the codec's type table reads it back at compile
+/// time through kMessageType.
+template <MessageType kType>
+struct Message : MessageBase {
+  static constexpr MessageType kMessageType = kType;
+  MessageType type() const override { return kType; }
 };
 
 }  // namespace runtime

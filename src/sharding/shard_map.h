@@ -46,6 +46,10 @@ struct ShardRange {
     return table == other.table && lo == other.lo && hi == other.hi;
   }
   std::string ToString() const;
+  template <typename V>
+  void Fields(V&& v) {
+    v(table, lo, hi, owner, version);
+  }
 };
 
 class ShardMap {

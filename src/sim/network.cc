@@ -45,9 +45,7 @@ void Network::Send(std::unique_ptr<MessageBase> msg) {
   // A partitioned sender cannot emit messages either.
   if (partitioned_[static_cast<size_t>(from)]) return;
 
-  auto& sender_stats = stats_[static_cast<size_t>(from)];
-  sender_stats.messages_sent++;
-  sender_stats.bytes_sent += msg->WireSize();
+  stats_[static_cast<size_t>(from)].messages_sent++;
   ++total_messages_;
 
   const Micros delay = matrix_.SampleOneWay(from, to, rng_);

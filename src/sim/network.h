@@ -1,8 +1,8 @@
 // Simulated message-passing network.
 //
 // Nodes register a handler; Send() samples the link latency and schedules
-// delivery on the event loop. The network also counts messages and bytes
-// per node, which the resource benchmarks use as a coordination-cost proxy.
+// delivery on the event loop. The network also counts messages per node,
+// which the resource benchmarks use as a coordination-cost proxy.
 #ifndef GEOTP_SIM_NETWORK_H_
 #define GEOTP_SIM_NETWORK_H_
 
@@ -30,7 +30,6 @@ using MessageBase = runtime::MessageBase;
 struct TrafficStats {
   uint64_t messages_sent = 0;
   uint64_t messages_received = 0;
-  uint64_t bytes_sent = 0;
 };
 
 /// The simulated network implements the runtime transport seam: Send()

@@ -275,6 +275,107 @@ TEST(WanCodec, EntriesRoundTrip) {
   }
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+// Golden layout: the packed bytes are persisted indirectly (their
+// ContentHash64 is the chunk identity a destination journals and a re-seed
+// offer is declined by), so any change to field order or width would
+// orphan every journaled chunk. Pin the exact bytes and hashes.
+TEST(WanCodec, GoldenPackedLayout) {
+  const std::vector<ReplWrite> writes = {
+      ReplWrite{RecordKey{1, 5}, 50},
+      ReplWrite{RecordKey{2, 0x0102030405060708ull}, -3}};
+  const std::string packed_writes = protocol::PackWrites(writes);
+  EXPECT_EQ(Hex(packed_writes),
+            "02000000"                                          // count
+            "01000000" "0500000000000000" "3200000000000000"    // {1, 5} 50
+            "02000000" "0807060504030201" "fdffffffffffffff");  // ... -3
+  EXPECT_EQ(ContentHash64(packed_writes), 0x2bd4fc0250c2ca91ull);
+
+  ReplEntry commit;
+  commit.index = 11;
+  commit.epoch = 2;
+  commit.type = protocol::ReplEntryType::kCommit;
+  commit.xid = Xid{77, 3};
+  commit.coordinator = 1;
+  commit.writes = {ReplWrite{RecordKey{1, 5}, 50}};
+  commit.at = 12345;
+  commit.ingest_migration_id = 8;
+  commit.ingest_chunk_seq = 2;
+  commit.ingest_content_hash = 0x9e3779b97f4a7c15ull;
+  ReplEntry begin;
+  begin.index = 12;
+  begin.epoch = 2;
+  begin.type = protocol::ReplEntryType::kMigrationBegin;
+  begin.xid = Xid{0, 3};
+  begin.at = 12400;
+  auto record = std::make_shared<protocol::MigrationRecord>();
+  record->migration_id = 8;
+  record->range = sharding::ShardRange{1, 100, 200, 4, 9};
+  record->dest = 5;
+  record->dest_leader = 6;
+  record->new_version = 10;
+  record->balancer = 1;
+  record->timeout = 500000;
+  record->delta_next_seq = 4;
+  begin.migration = record;
+  const std::string packed_entries = protocol::PackEntries({commit, begin});
+  EXPECT_EQ(Hex(packed_entries),
+            "02000000"  // count
+            // commit: index, epoch, type, xid, coordinator, at
+            "0b00000000000000" "0200000000000000" "01"
+            "4d00000000000000" "03000000" "01000000" "3930000000000000"
+            "01000000" "01000000" "0500000000000000" "3200000000000000"
+            "00"  // no migration record
+            "0800000000000000" "0200000000000000" "0000000000000000"
+            "157c4a7fb979379e"
+            // migration begin: same header, no writes, then the record
+            "0c00000000000000" "0200000000000000" "03"
+            "0000000000000000" "03000000" "ffffffff" "7030000000000000"
+            "00000000"
+            "01"
+            "0800000000000000"  // migration_id, then the range
+            "01000000" "6400000000000000" "c800000000000000" "04000000"
+            "0900000000000000"
+            "05000000" "06000000" "0a00000000000000" "01000000"
+            "20a1070000000000" "0400000000000000"
+            "0000000000000000" "0000000000000000" "0000000000000000"
+            "0000000000000000");
+  EXPECT_EQ(ContentHash64(packed_entries), 0x8e73dd7398bc38f0ull);
+}
+
+// Forged counts and enum bytes reject the payload before any allocation
+// proportional to the forged count.
+TEST(WanCodec, ForgedPayloadsRejected) {
+  const std::string max_count(4, '\xff');
+  std::vector<ReplWrite> writes;
+  EXPECT_FALSE(protocol::UnpackWrites(max_count, &writes));
+  std::vector<ReplEntry> entries;
+  EXPECT_FALSE(protocol::UnpackEntries(max_count, &entries));
+
+  ReplEntry entry;
+  entry.index = 1;
+  entry.writes = {ReplWrite{RecordKey{1, 5}, 50}};
+  const std::string packed = protocol::PackEntries({entry});
+  ASSERT_TRUE(protocol::UnpackEntries(packed, &entries));
+  // The entry's writes count: after the batch count, index, epoch, type,
+  // xid, coordinator and at.
+  std::string forged = packed;
+  forged.replace(4 + 8 + 8 + 1 + 12 + 4 + 8, 4, max_count);
+  EXPECT_FALSE(protocol::UnpackEntries(forged, &entries));
+  forged = packed;
+  forged[4 + 8 + 8] = '\x7f';  // entry type past kMigrationEnd
+  EXPECT_FALSE(protocol::UnpackEntries(forged, &entries));
+}
+
 TEST(WanCodec, SealOpenAppendEnvelope) {
   protocol::ReplAppendRequest req;
   req.group = 2;
@@ -293,7 +394,6 @@ TEST(WanCodec, SealOpenAppendEnvelope) {
   ASSERT_TRUE(req.entries.empty());
   ASSERT_FALSE(req.payload.empty());
   EXPECT_LT(bytes.wire, bytes.raw);  // structured entries must compress
-  EXPECT_EQ(req.WireSize(), 64 + req.payload.size());
   ASSERT_TRUE(protocol::OpenAppendPayload(&req));
   EXPECT_EQ(req.entries.size(), plain_count);
   EXPECT_TRUE(req.payload.empty());

@@ -770,6 +770,43 @@ TEST(RuntimeCodecTest, MalformedInputDecodesToNull) {
   EXPECT_EQ(DecodeMessage(bytes), nullptr);
 }
 
+// Hostile field values reject the frame: an enum byte past the enum's last
+// enumerator, and an element count the frame cannot hold.
+TEST(RuntimeCodecTest, ForgedFieldsDecodeToNull) {
+  constexpr size_t kEnvelope = 2 + 4 + 4 + 1;  // tag, from, to, no trace
+
+  auto vote = Stamped<protocol::VoteMessage>();
+  vote->xid = Xid{99, 2};
+  std::string bytes = EncodeMessage(*vote);
+  ASSERT_NE(DecodeMessage(bytes), nullptr);
+  bytes.back() = '\xff';  // the vote is the last field
+  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+
+  auto result = Stamped<protocol::ClientTxnResult>();
+  result->status = Status::Aborted("deadlock victim");
+  bytes = EncodeMessage(*result);
+  bytes[kEnvelope + 16] = '\xff';  // status code, after tag and txn id
+  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+
+  auto append = Stamped<protocol::ReplAppendRequest>();
+  append->entries = {SampleEntry(false)};
+  bytes = EncodeMessage(*append);
+  // Entry type: after group, epoch, prev_index, prev_epoch, the entry
+  // count, and the entry's index and epoch.
+  bytes[kEnvelope + 4 + 8 + 8 + 8 + 4 + 8 + 8] = '\x7f';
+  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+
+  auto batch = Stamped<protocol::PrepareBatch>();
+  batch->xids = {Xid{99, 2}};
+  bytes = EncodeMessage(*batch);
+  ASSERT_NE(DecodeMessage(bytes), nullptr);
+  bytes.replace(kEnvelope, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+  // Two 12-byte xids cannot fit in the 12 bytes that follow.
+  bytes.replace(kEnvelope, 4, std::string("\x02\x00\x00\x00", 4));
+  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+}
+
 // The enum is the codec's checklist: if someone appends a MessageType
 // this static count forces them here (and into codec.cc) on the same PR.
 TEST(RuntimeCodecTest, EveryMessageTypeIsCovered) {
