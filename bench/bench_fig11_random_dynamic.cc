@@ -50,15 +50,15 @@ int main() {
     config.ycsb.distributed_ratio = 0.5;
     config.driver.warmup = 0;
     config.driver.measure = SecToMicros(320);
-    config.pre_run = [](sim::EventLoop* loop, sim::Network* network) {
+    config.pre_run = [](sim::EventLoop* loop, sim::LatencyMatrix* matrix) {
       // Every 40s, rotate the remote links' RTTs (27/73/251 permuted).
       static const double kRtts[][3] = {
           {27, 73, 251}, {251, 27, 73}, {73, 251, 27}, {27, 251, 73},
           {251, 73, 27}, {73, 27, 251}, {27, 73, 251}, {251, 27, 73}};
       for (int epoch = 1; epoch < 8; ++epoch) {
-        loop->Schedule(SecToMicros(40.0 * epoch), [network, epoch]() {
+        loop->Schedule(SecToMicros(40.0 * epoch), [matrix, epoch]() {
           for (int ds = 0; ds < 3; ++ds) {
-            network->matrix().SetSymmetric(
+            matrix->SetSymmetric(
                 1, 3 + ds, sim::LinkSpec::FromRttMs(kRtts[epoch][ds]));
           }
         });

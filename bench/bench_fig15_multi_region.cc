@@ -8,6 +8,9 @@
 #include "bench_common.h"
 #include "datasource/data_source.h"
 #include "middleware/middleware.h"
+#include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
+#include "sim/network.h"
 #include "sim/topology.h"
 #include "workload/driver.h"
 #include "workload/ycsb.h"
@@ -53,6 +56,7 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
+  runtime::SimRuntime rt(&loop, &network);
 
   middleware::MiddlewareConfig dm_config = ConfigForSystem(system);
   std::vector<std::unique_ptr<datasource::DataSourceNode>> nodes;
@@ -60,8 +64,8 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
     datasource::DataSourceConfig ds_config =
         datasource::DataSourceConfig::MySql();
     ds_config.early_abort = dm_config.early_abort;
-    nodes.push_back(
-        std::make_unique<datasource::DataSourceNode>(ds, &network, ds_config));
+    nodes.push_back(std::make_unique<datasource::DataSourceNode>(
+        rt.EnvFor(ds), ds_config));
     nodes.back()->Attach();
   }
 
@@ -79,10 +83,10 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
   gen1.RegisterTables(&catalog1);
   gen2.RegisterTables(&catalog2);
 
-  middleware::MiddlewareNode node_dm1(dm1, 0, &network, std::move(catalog1),
+  middleware::MiddlewareNode node_dm1(rt.EnvFor(dm1), 0, std::move(catalog1),
                                       dm_config);
   node_dm1.Attach();
-  middleware::MiddlewareNode node_dm2(dm2, 1, &network, std::move(catalog2),
+  middleware::MiddlewareNode node_dm2(rt.EnvFor(dm2), 1, std::move(catalog2),
                                       dm_config);
   node_dm2.Attach();
 
@@ -90,22 +94,21 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
   driver_config.terminals = two_middlewares ? 32 : 64;
   driver_config.warmup = SecToMicros(4);
   driver_config.measure = SecToMicros(24);
-  workload::ClientDriver driver1(client1, &network, dm1, &gen1,
+  workload::ClientDriver driver1(rt.EnvFor(client1), dm1, &gen1,
                                  driver_config);
   driver1.Attach();
   driver1.Start();
   std::unique_ptr<workload::ClientDriver> driver2;
   if (two_middlewares) {
     driver_config.seed = 4242;
-    driver2 = std::make_unique<workload::ClientDriver>(client2, &network,
-                                                       dm2, &gen2,
-                                                       driver_config);
+    driver2 = std::make_unique<workload::ClientDriver>(
+        rt.EnvFor(client2), dm2, &gen2, driver_config);
     driver2->Attach();
     driver2->Start();
   } else {
     // Single-middleware baseline still registers a handler for client2 /
     // dm2 so stray messages (none expected) are not fatal.
-    network.RegisterNode(client2, [](std::unique_ptr<sim::MessageBase>) {});
+    network.RegisterNode(client2, [](std::unique_ptr<runtime::MessageBase>) {});
   }
 
   loop.RunUntil(driver_config.warmup + driver_config.measure);
@@ -171,6 +174,7 @@ FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
+  runtime::SimRuntime rt(&loop, &network);
 
   middleware::MiddlewareConfig dm_config = ConfigForSystem(system);
   middleware::Catalog catalog;
@@ -191,7 +195,7 @@ FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
           datasource::DataSourceConfig::MySql();
       ds_config.early_abort = dm_config.early_abort;
       auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
+          rt.EnvFor(replica), ds_config);
       replication::GroupConfig repl;
       repl.logical = group[0];
       repl.replicas = group;
@@ -201,7 +205,7 @@ FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
       nodes.push_back(std::move(node));
     }
   }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
+  middleware::MiddlewareNode node_dm(rt.EnvFor(dm), 0, std::move(catalog),
                                      dm_config);
   node_dm.Attach();
 
@@ -209,7 +213,7 @@ FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
   driver_config.terminals = 48;
   driver_config.warmup = SecToMicros(4);
   driver_config.measure = SecToMicros(20);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(rt.EnvFor(client), dm, &gen, driver_config);
   driver.Attach();
   driver.Start();
 

@@ -23,6 +23,9 @@
 #include "datasource/data_source.h"
 #include "middleware/middleware.h"
 #include "replication/replicator.h"
+#include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
+#include "sim/network.h"
 #include "sim/topology.h"
 #include "workload/driver.h"
 #include "workload/ycsb.h"
@@ -112,6 +115,7 @@ WanResult RunWanShipping(bool compressed) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
+  runtime::SimRuntime rt(&loop, &network);
 
   middleware::MiddlewareConfig dm_config =
       workload::ConfigForSystem(SystemKind::kGeoTP);
@@ -133,7 +137,7 @@ WanResult RunWanShipping(bool compressed) {
       ds_config.group_commit.enabled = true;
       ds_config.wan_compression = compressed;
       auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
+          rt.EnvFor(replica), ds_config);
       replication::GroupConfig repl;
       repl.logical = group[0];
       repl.replicas = group;
@@ -143,7 +147,7 @@ WanResult RunWanShipping(bool compressed) {
       nodes.push_back(std::move(node));
     }
   }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
+  middleware::MiddlewareNode node_dm(rt.EnvFor(dm), 0, std::move(catalog),
                                      dm_config);
   node_dm.Attach();
 
@@ -151,7 +155,7 @@ WanResult RunWanShipping(bool compressed) {
   driver_config.terminals = 64;
   driver_config.warmup = SecToMicros(2);
   driver_config.measure = SecToMicros(12);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(rt.EnvFor(client), dm, &gen, driver_config);
   driver.Attach();
   driver.Start();
   loop.RunUntil(driver_config.warmup + driver_config.measure);

@@ -1,16 +1,15 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
-// manager, hotspot footprint (AVL+LRU), geo-scheduler planning, SQL parse
-// + rewrite, event loop and zipfian sampling. These quantify the DM-side
-// overheads the paper reports as negligible (Fig. 6c "analysis ~1ms" for
-// a whole transaction; the per-call costs here are sub-microsecond).
+// manager, hotspot footprint (AVL+LRU), geo-scheduler planning, event
+// loop and zipfian sampling. These quantify the DM-side overheads the
+// paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
+// transaction; the per-call costs here are sub-microsecond).
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
 #include "core/geo_scheduler.h"
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
-#include "sql/parser.h"
-#include "sql/rewriter.h"
+#include "sim/network.h"
 #include "storage/lock_manager.h"
 
 namespace geotp {
@@ -106,7 +105,7 @@ BENCHMARK(BM_FootprintForecast);
 void BM_SchedulerPlanRound(benchmark::State& state) {
   sim::EventLoop loop;
   sim::Network net(&loop, sim::LatencyMatrix(8));
-  core::LatencyMonitor monitor(0, &net, {});
+  core::LatencyMonitor monitor(0, &net, &loop, {});
   core::HotspotFootprint fp;
   core::SchedulerConfig config;
   config.policy = core::SchedulerPolicy::kLatencyAwareForecast;
@@ -122,27 +121,6 @@ void BM_SchedulerPlanRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerPlanRound);
-
-void BM_ParseUpdate(benchmark::State& state) {
-  sql::Parser parser;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.Parse(
-        "UPDATE savings SET val = val + 100 WHERE key = 74321; "
-        "/* last statement */"));
-  }
-}
-BENCHMARK(BM_ParseUpdate);
-
-void BM_RewriteBranchPrepare(benchmark::State& state) {
-  const Xid xid{1234567, 3};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sql::Rewriter::BranchPrepare(sql::Dialect::kMySql, xid));
-    benchmark::DoNotOptimize(
-        sql::Rewriter::BranchPrepare(sql::Dialect::kPostgres, xid));
-  }
-}
-BENCHMARK(BM_RewriteBranchPrepare);
 
 void BM_EventLoopScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

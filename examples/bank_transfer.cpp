@@ -1,24 +1,31 @@
 // The paper's running example (§III, Fig. 3): Alice transfers $100 to
 // Bob. Bob's account lives in a PostgreSQL instance co-located with the
 // middleware (DS1); Alice's account lives in a MySQL instance 100ms away
-// (DS2). This example shows the whole GeoTP pipeline at the API level:
+// (DS2). The client's transaction is
 //
-//   1. the client writes annotated SQL ("/* last statement */"),
-//   2. the parser extracts statements + the annotation,
-//   3. the rewriter emits each engine's XA dialect (what the geo-agent
-//      executes for the decentralized prepare),
-//   4. a two-node simulated deployment runs the transfer under GeoTP and
-//      under classic 2PC (SSP), printing the commit latency difference —
-//      the eliminated WAN round trip of §IV-A.
+//   BEGIN;
+//   UPDATE savings SET val = val + -100 WHERE key = 1005;
+//   UPDATE savings SET val = val + 100 WHERE key = 7; /* last statement */
+//   COMMIT;
+//
+// which reaches the middleware as one round of two delta writes, flagged
+// as the last round (the paper's annotation). The DM does not parse SQL
+// text: it charges a fixed analysis cost per round, and the two data
+// sources differ only in their engine cost presets.
+//
+// A two-node simulated deployment runs the transfer under GeoTP and under
+// classic 2PC (SSP), printing the commit latency difference — the
+// eliminated WAN round trip of §IV-A.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "datasource/data_source.h"
 #include "middleware/middleware.h"
 #include "protocol/messages.h"
+#include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sql/parser.h"
-#include "sql/rewriter.h"
 
 using namespace geotp;
 
@@ -31,7 +38,7 @@ constexpr uint64_t kAlice = 1005;  // key on DS2 (1000 keys per node)
 // Assembles client(0) + DM(1) + PostgreSQL DS(2, 10ms) + MySQL DS(3,
 // 100ms), runs the transfer, returns the client-observed latency in ms.
 double RunTransfer(const middleware::MiddlewareConfig& dm_config,
-                   const std::vector<sql::ParsedStatement>& script) {
+                   const std::vector<protocol::ClientOp>& transfer) {
   sim::LatencyMatrix matrix(4);
   matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(0.5));
   matrix.SetSymmetric(1, 2, sim::LinkSpec::FromRttMs(10.0));
@@ -41,12 +48,13 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
   matrix.SetSymmetric(2, 3, sim::LinkSpec::FromRttMs(100.0));
   sim::EventLoop loop;
   sim::Network network(&loop, matrix);
+  runtime::SimRuntime rt(&loop, &network);
 
   datasource::DataSourceConfig pg = datasource::DataSourceConfig::Postgres();
   datasource::DataSourceConfig my = datasource::DataSourceConfig::MySql();
   pg.early_abort = my.early_abort = dm_config.early_abort;
-  datasource::DataSourceNode ds1(2, &network, pg);
-  datasource::DataSourceNode ds2(3, &network, my);
+  datasource::DataSourceNode ds1(rt.EnvFor(2), pg);
+  datasource::DataSourceNode ds2(rt.EnvFor(3), my);
   ds1.Attach();
   ds2.Attach();
   // Seed the balances.
@@ -55,31 +63,22 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
 
   middleware::Catalog catalog;
   catalog.AddRangePartitionedTable(kSavings, 1000, {2, 3});
-  middleware::MiddlewareNode dm(1, 0, &network, std::move(catalog),
+  middleware::MiddlewareNode dm(rt.EnvFor(1), 0, std::move(catalog),
                                 dm_config);
   dm.Attach();
 
-  // Translate the parsed script into one client round (the DM receives
-  // the DML batch; BEGIN/COMMIT frame it).
+  // The DML batch is one client round; BEGIN/COMMIT frame it.
   auto round = std::make_unique<protocol::ClientRoundRequest>();
   round->from = 0;
   round->to = 1;
   round->client_tag = 1;
-  for (const auto& stmt : script) {
-    if (!stmt.IsDml()) continue;
-    protocol::ClientOp op;
-    op.key = RecordKey{kSavings, stmt.key};
-    op.is_write = stmt.IsWrite();
-    op.value = stmt.value;
-    op.is_delta = stmt.is_delta;
-    round->ops.push_back(op);
-    if (stmt.is_last) round->last_round = true;
-  }
+  round->ops = transfer;
+  round->last_round = true;  // "/* last statement */"
 
   Micros done_at = 0;
   TxnId txn_id = kInvalidTxn;
   bool committed = false;
-  network.RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  network.RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     if (auto* resp =
             dynamic_cast<protocol::ClientRoundResponse*>(msg.get())) {
       txn_id = resp->txn_id;
@@ -111,71 +110,34 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
   return MicrosToMs(done_at);
 }
 
+// UPDATE savings SET val = val + `delta` WHERE key = `key`.
+protocol::ClientOp AddToBalance(uint64_t key, int64_t delta) {
+  protocol::ClientOp op;
+  op.key = RecordKey{kSavings, key};
+  op.is_write = true;
+  op.value = delta;
+  op.is_delta = true;
+  return op;
+}
+
 }  // namespace
 
 int main() {
-  // 1. The client's annotated transaction, exactly as in the paper Fig. 3.
-  const char* kScript =
-      "BEGIN;"
-      "UPDATE savings SET val = val + -100 WHERE key = 1005;"
-      "UPDATE savings SET val = val + 100 WHERE key = 7; /* last statement */;"
-      "COMMIT;";
-  std::printf("client SQL:\n%s\n\n", kScript);
+  const std::vector<protocol::ClientOp> transfer = {
+      AddToBalance(kAlice, -100), AddToBalance(kBob, 100)};
+  std::printf("transfer: Alice (key %llu, MySQL) -> Bob (key %llu, "
+              "PostgreSQL), $100\n",
+              static_cast<unsigned long long>(kAlice),
+              static_cast<unsigned long long>(kBob));
 
-  sql::Parser parser;
-  auto parsed = parser.ParseScript(kScript);
-  if (!parsed.ok()) {
-    std::printf("parse error: %s\n", parsed.status().ToString().c_str());
-    return 1;
-  }
-
-  // 2./3. What the rewriter sends to each engine.
-  const Xid bob_branch{1, 2};    // PostgreSQL branch
-  const Xid alice_branch{1, 3};  // MySQL branch
-  std::printf("rewritten for PostgreSQL (DS1, Bob):\n");
-  for (const auto& sql : sql::Rewriter::BranchBegin(sql::Dialect::kPostgres,
-                                                    bob_branch)) {
-    std::printf("    %s\n", sql.c_str());
-  }
-  for (const auto& stmt : parsed.value()) {
-    if (stmt.IsDml() && stmt.key == kBob) {
-      std::printf("    %s\n",
-                  sql::Rewriter::RewriteDml(sql::Dialect::kPostgres, stmt)
-                      .c_str());
-    }
-  }
-  for (const auto& sql : sql::Rewriter::BranchPrepare(sql::Dialect::kPostgres,
-                                                      bob_branch)) {
-    std::printf("    %s   <- geo-agent, decentralized prepare\n",
-                sql.c_str());
-  }
-  std::printf("rewritten for MySQL (DS2, Alice):\n");
-  for (const auto& sql :
-       sql::Rewriter::BranchBegin(sql::Dialect::kMySql, alice_branch)) {
-    std::printf("    %s\n", sql.c_str());
-  }
-  for (const auto& stmt : parsed.value()) {
-    if (stmt.IsDml() && stmt.key == kAlice) {
-      std::printf(
-          "    %s\n",
-          sql::Rewriter::RewriteDml(sql::Dialect::kMySql, stmt).c_str());
-    }
-  }
-  for (const auto& sql : sql::Rewriter::BranchPrepare(sql::Dialect::kMySql,
-                                                      alice_branch)) {
-    std::printf("    %s   <- geo-agent, decentralized prepare\n",
-                sql.c_str());
-  }
-
-  // 4. Run it under both commit protocols.
   std::printf("\nrunning under SSP (classic XA 2PC, 3 WAN round trips):\n");
   const double ssp_ms =
-      RunTransfer(middleware::MiddlewareConfig::SSP(), parsed.value());
+      RunTransfer(middleware::MiddlewareConfig::SSP(), transfer);
   std::printf("    commit latency: %.1f ms\n", ssp_ms);
 
   std::printf("\nrunning under GeoTP (decentralized prepare, 2 round trips):\n");
   const double geotp_ms =
-      RunTransfer(middleware::MiddlewareConfig::GeoTP(), parsed.value());
+      RunTransfer(middleware::MiddlewareConfig::GeoTP(), transfer);
   std::printf("    commit latency: %.1f ms\n", geotp_ms);
 
   std::printf("\nGeoTP saved %.1f ms — the prepare phase's WAN round trip.\n",

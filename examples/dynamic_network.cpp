@@ -24,11 +24,11 @@ int main() {
     config.driver.terminals = 64;
     config.driver.warmup = 0;
     config.driver.measure = SecToMicros(80);
-    config.pre_run = [](sim::EventLoop* loop, sim::Network* network) {
-      loop->Schedule(SecToMicros(40), [network]() {
+    config.pre_run = [](sim::EventLoop* loop, sim::LatencyMatrix* matrix) {
+      loop->Schedule(SecToMicros(40), [matrix]() {
         // Node ids in the default topology: dm=1, ds2=3, ds4=5.
-        network->matrix().SetSymmetric(1, 3, sim::LinkSpec::FromRttMs(251));
-        network->matrix().SetSymmetric(1, 5, sim::LinkSpec::FromRttMs(27));
+        matrix->SetSymmetric(1, 3, sim::LinkSpec::FromRttMs(251));
+        matrix->SetSymmetric(1, 5, sim::LinkSpec::FromRttMs(27));
       });
     };
     series.push_back(RunExperiment(config).throughput_series);

@@ -6,6 +6,8 @@
 #include "baselines/store_node.h"
 #include "baselines/yugabyte.h"
 #include "common/logging.h"
+#include "runtime/sim_runtime.h"
+#include "sim/network.h"
 #include "sim/topology.h"
 
 namespace geotp {
@@ -43,10 +45,11 @@ ExperimentResult RunScalarDbExperiment(const ExperimentConfig& config) {
       sim::DefaultTopology::Make(config.ds_rtts_ms, config.jitter_frac);
   sim::EventLoop loop;
   sim::Network network(&loop, topo.matrix, config.seed);
+  runtime::SimRuntime rt(&loop, &network);
 
   std::vector<std::unique_ptr<StoreNode>> stores;
   for (NodeId node : topo.data_sources) {
-    stores.push_back(std::make_unique<StoreNode>(node, &network));
+    stores.push_back(std::make_unique<StoreNode>(rt.EnvFor(node)));
     stores.back()->Attach();
   }
 
@@ -56,16 +59,16 @@ ExperimentResult RunScalarDbExperiment(const ExperimentConfig& config) {
 
   ScalarDbConfig db_config;
   db_config.plus = config.system == workload::SystemKind::kScalarDbPlus;
-  ScalarDbNode dm(topo.middleware, &network, std::move(catalog), db_config);
+  ScalarDbNode dm(rt.EnvFor(topo.middleware), std::move(catalog), db_config);
   dm.Attach();
 
   DriverConfig driver_config = config.driver;
   driver_config.seed = config.seed * 7919 + 17;
-  ClientDriver driver(topo.client, &network, topo.middleware,
+  ClientDriver driver(rt.EnvFor(topo.client), topo.middleware,
                       generator.get(), driver_config);
   driver.Attach();
 
-  if (config.pre_run) config.pre_run(&loop, &network);
+  if (config.pre_run) config.pre_run(&loop, &network.matrix());
   driver.Start();
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 
@@ -83,6 +86,7 @@ ExperimentResult RunYugabyteExperiment(const ExperimentConfig& config) {
       sim::DefaultTopology::Make(config.ds_rtts_ms, config.jitter_frac);
   sim::EventLoop loop;
   sim::Network network(&loop, topo.matrix, config.seed);
+  runtime::SimRuntime rt(&loop, &network);
 
   auto generator = MakeGenerator(config, topo.data_sources);
   auto catalog = std::make_unique<middleware::Catalog>();
@@ -91,14 +95,14 @@ ExperimentResult RunYugabyteExperiment(const ExperimentConfig& config) {
   std::vector<std::unique_ptr<YbTabletNode>> tablets;
   for (NodeId node : topo.data_sources) {
     tablets.push_back(std::make_unique<YbTabletNode>(
-        node, &network, catalog.get(), YbConfig()));
+        rt.EnvFor(node), catalog.get(), YbConfig()));
     tablets.back()->Attach();
   }
 
   DriverConfig driver_config = config.driver;
   driver_config.seed = config.seed * 7919 + 17;
   // No middleware hop: the first key's owner coordinates the transaction.
-  ClientDriver driver(topo.client, &network, topo.data_sources.front(),
+  ClientDriver driver(rt.EnvFor(topo.client), topo.data_sources.front(),
                       generator.get(), driver_config);
   const middleware::Catalog* catalog_ptr = catalog.get();
   driver.SetRouter([catalog_ptr](const workload::TxnSpec& spec) {
@@ -110,7 +114,7 @@ ExperimentResult RunYugabyteExperiment(const ExperimentConfig& config) {
   });
   driver.Attach();
 
-  if (config.pre_run) config.pre_run(&loop, &network);
+  if (config.pre_run) config.pre_run(&loop, &network.matrix());
   driver.Start();
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 

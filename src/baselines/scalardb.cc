@@ -14,17 +14,17 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
-ScalarDbNode::ScalarDbNode(NodeId id, sim::Network* network,
-                           middleware::Catalog catalog, ScalarDbConfig config)
-    : id_(id),
-      network_(network),
+ScalarDbNode::ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
+                           ScalarDbConfig config)
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
       catalog_(std::move(catalog)),
       config_(std::move(config)),
       footprint_(std::make_unique<core::HotspotFootprint>(config_.footprint)),
       monitor_(std::make_unique<core::LatencyMonitor>(
-          id, network, network->loop(), catalog_.AllDataSources(),
-          config_.monitor)),
-      rng_(0x5CA1A3DB + id) {
+          id_, network_, timer_, catalog_.AllDataSources(), config_.monitor)),
+      rng_(0x5CA1A3DB + id_) {
   core::SchedulerConfig sched;
   if (config_.plus) {
     // Eq. 3 postponing over the monitor's latency estimates. The Eq. 9
@@ -45,30 +45,31 @@ ScalarDbNode::ScalarDbNode(NodeId id, sim::Network* network,
 ScalarDbNode::~ScalarDbNode() = default;
 
 void ScalarDbNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
   if (config_.plus) monitor_->Start();
 }
 
-void ScalarDbNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void ScalarDbNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundRequest:
+    case runtime::MessageType::kClientRoundRequest:
       OnClientRound(static_cast<ClientRoundRequest&>(*msg));
       return;
-    case sim::MessageType::kStoreReadResponse:
+    case runtime::MessageType::kStoreReadResponse:
       OnReadResponse(static_cast<StoreReadResponse&>(*msg));
       return;
-    case sim::MessageType::kClientFinishRequest:
+    case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case sim::MessageType::kStorePrepareResponse:
+    case runtime::MessageType::kStorePrepareResponse:
       OnPrepareResponse(static_cast<StorePrepareResponse&>(*msg));
       return;
-    case sim::MessageType::kStoreDecisionAck:
+    case runtime::MessageType::kStoreDecisionAck:
       OnDecisionAck(static_cast<StoreDecisionAck&>(*msg));
       return;
-    case sim::MessageType::kPingResponse:
+    case runtime::MessageType::kPingResponse:
       monitor_->OnPong(static_cast<protocol::PingResponse&>(*msg));
       return;
     default:
@@ -96,7 +97,7 @@ void ScalarDbNode::OnClientRound(const ClientRoundRequest& req) {
   if (txn->aborting) return;
   txn->pending_ops = req.ops;
   txn->round_values.assign(req.ops.size(), 0);
-  loop()->Schedule(config_.analysis_cost, [this, id]() { PlanRound(id); });
+  timer_->Schedule(config_.analysis_cost, [this, id]() { PlanRound(id); });
 }
 
 void ScalarDbNode::PlanRound(TxnId id) {
@@ -124,7 +125,7 @@ void ScalarDbNode::PlanRound(TxnId id) {
     if (decision.verdict == core::AdmissionVerdict::kBlock) {
       stats_.admission_blocks++;
       txn->admission_attempts++;
-      loop()->Schedule(decision.retry_backoff,
+      timer_->Schedule(decision.retry_backoff,
                        [this, id]() { PlanRound(id); });
       return;
     }
@@ -159,7 +160,7 @@ void ScalarDbNode::PlanRound(TxnId id) {
 
     const Micros postpone = decision.plans[plan_idx++].postpone;
     const NodeId target = node;
-    loop()->Schedule(postpone, [this, id, target, req_id, keys]() {
+    timer_->Schedule(postpone, [this, id, target, req_id, keys]() {
       Txn* txn = FindTxn(id);
       if (txn == nullptr || txn->aborting) return;
       auto req = std::make_unique<StoreReadRequest>();
@@ -241,7 +242,7 @@ void ScalarDbNode::OnClientFinish(const ClientFinishRequest& req) {
     const Micros postpone = decision.plans[plan_idx++].postpone;
     const NodeId target = node;
     auto ops = staged.ops;
-    loop()->Schedule(postpone, [this, id, target, ops]() {
+    timer_->Schedule(postpone, [this, id, target, ops]() {
       Txn* txn = FindTxn(id);
       if (txn == nullptr) return;
       auto req = std::make_unique<StorePrepareRequest>();
@@ -280,7 +281,7 @@ void ScalarDbNode::OnPrepareResponse(const StorePrepareResponse& resp) {
   }
   // Commit-state record (the coordinator table write), then promote.
   const TxnId id = txn->id;
-  loop()->Schedule(config_.commit_state_cost, [this, id]() {
+  timer_->Schedule(config_.commit_state_cost, [this, id]() {
     Txn* txn = FindTxn(id);
     if (txn == nullptr) return;
     DispatchDecision(*txn, /*commit=*/true);

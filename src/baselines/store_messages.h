@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "runtime/message.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace baselines {

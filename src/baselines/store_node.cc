@@ -7,28 +7,31 @@
 namespace geotp {
 namespace baselines {
 
-StoreNode::StoreNode(NodeId id, sim::Network* network,
-                     storage::EngineConfig cost_model)
-    : id_(id), network_(network), cost_(cost_model) {}
+StoreNode::StoreNode(runtime::ActorEnv env, storage::EngineConfig cost_model)
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
+      cost_(cost_model) {}
 
 void StoreNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
 }
 
-void StoreNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void StoreNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kStoreReadRequest:
+    case runtime::MessageType::kStoreReadRequest:
       OnRead(static_cast<StoreReadRequest&>(*msg));
       return;
-    case sim::MessageType::kStorePrepareRequest:
+    case runtime::MessageType::kStorePrepareRequest:
       OnPrepare(static_cast<StorePrepareRequest&>(*msg));
       return;
-    case sim::MessageType::kStoreDecisionRequest:
+    case runtime::MessageType::kStoreDecisionRequest:
       OnDecision(static_cast<StoreDecisionRequest&>(*msg));
       return;
-    case sim::MessageType::kPingRequest: {
+    case runtime::MessageType::kPingRequest: {
       auto& ping = static_cast<protocol::PingRequest&>(*msg);
       auto pong = std::make_unique<protocol::PingResponse>();
       pong->from = id_;
@@ -50,7 +53,7 @@ void StoreNode::OnRead(const StoreReadRequest& req) {
   const NodeId reply_to = req.from;
   const TxnId txn = req.txn;
   const uint64_t req_id = req.req_id;
-  loop()->Schedule(cost, [this, keys, reply_to, txn, req_id]() {
+  timer_->Schedule(cost, [this, keys, reply_to, txn, req_id]() {
     auto resp = std::make_unique<StoreReadResponse>();
     resp->from = id_;
     resp->to = reply_to;
@@ -73,7 +76,7 @@ void StoreNode::OnPrepare(const StorePrepareRequest& req) {
   auto ops = req.ops;
   const NodeId reply_to = req.from;
   const TxnId txn = req.txn;
-  loop()->Schedule(cost, [this, ops, reply_to, txn]() {
+  timer_->Schedule(cost, [this, ops, reply_to, txn]() {
     Status status = Status::OK();
     for (const StagedOp& op : ops) {
       // Consensus commit: every accessed record must still carry the
@@ -107,7 +110,7 @@ void StoreNode::OnDecision(const StoreDecisionRequest& req) {
   const NodeId reply_to = req.from;
   const TxnId txn = req.txn;
   const bool commit = req.commit;
-  loop()->Schedule(cost, [this, reply_to, txn, commit]() {
+  timer_->Schedule(cost, [this, reply_to, txn, commit]() {
     if (commit) {
       store_.CommitIntents(txn);
       stats_.commits++;

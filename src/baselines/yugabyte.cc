@@ -13,35 +13,39 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
-YbTabletNode::YbTabletNode(NodeId id, sim::Network* network,
-                           const middleware::Catalog* catalog,
-                           YbConfig config)
-    : id_(id), network_(network), catalog_(catalog), config_(config) {}
+YbTabletNode::YbTabletNode(runtime::ActorEnv env,
+                           const middleware::Catalog* catalog, YbConfig config)
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
+      catalog_(catalog),
+      config_(config) {}
 
 void YbTabletNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
 }
 
-void YbTabletNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void YbTabletNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundRequest:
+    case runtime::MessageType::kClientRoundRequest:
       OnClientRound(static_cast<ClientRoundRequest&>(*msg));
       return;
-    case sim::MessageType::kYbBatchResponse:
+    case runtime::MessageType::kYbBatchResponse:
       OnBatchResponse(static_cast<YbBatchResponse&>(*msg));
       return;
-    case sim::MessageType::kClientFinishRequest:
+    case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case sim::MessageType::kYbBatchRequest:
+    case runtime::MessageType::kYbBatchRequest:
       OnBatch(static_cast<YbBatchRequest&>(*msg));
       return;
-    case sim::MessageType::kYbResolveRequest:
+    case runtime::MessageType::kYbResolveRequest:
       OnResolve(static_cast<YbResolveRequest&>(*msg));
       return;
-    case sim::MessageType::kPingRequest: {
+    case runtime::MessageType::kPingRequest: {
       auto& ping = static_cast<protocol::PingRequest&>(*msg);
       auto pong = std::make_unique<protocol::PingResponse>();
       pong->from = id_;
@@ -124,7 +128,7 @@ void YbTabletNode::DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,
   const Micros cost =
       config_.consensus_cost +
       static_cast<Micros>(ops.size()) * config_.cost.write_cost;
-  loop()->Schedule(cost, [this, id, ops = std::move(ops),
+  timer_->Schedule(cost, [this, id, ops = std::move(ops),
                           slots = std::move(slots)]() {
     Txn* txn = FindTxn(id);
     if (txn == nullptr || txn->aborting) return;
@@ -135,7 +139,7 @@ void YbTabletNode::DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,
       // Wait-on-conflict: retry internally before aborting to the client.
       if (txn->conflict_retries_left > 0) {
         txn->conflict_retries_left--;
-        loop()->Schedule(config_.conflict_backoff, [this, id, ops, slots]() {
+        timer_->Schedule(config_.conflict_backoff, [this, id, ops, slots]() {
           Txn* txn = FindTxn(id);
           if (txn == nullptr || txn->aborting) return;
           DispatchLocalBatch(id, ops, slots);
@@ -195,7 +199,7 @@ void YbTabletNode::OnBatchResponse(const YbBatchResponse& resp) {
     if (txn->conflict_retries_left > 0) {
       txn->conflict_retries_left--;
       const TxnId id = pending.txn;
-      loop()->Schedule(config_.conflict_backoff,
+      timer_->Schedule(config_.conflict_backoff,
                        [this, pending = std::move(pending)]() {
                          Txn* txn = FindTxn(pending.txn);
                          if (txn == nullptr || txn->aborting) return;
@@ -227,7 +231,7 @@ void YbTabletNode::OnClientFinish(const ClientFinishRequest& req) {
   // Commit: flip the local transaction status record (consensus write),
   // respond to the client immediately, resolve intents asynchronously.
   const TxnId id = txn->id;
-  loop()->Schedule(config_.consensus_cost + config_.cost.commit_fsync_cost,
+  timer_->Schedule(config_.consensus_cost + config_.cost.commit_fsync_cost,
                    [this, id]() {
                      Txn* txn = FindTxn(id);
                      if (txn == nullptr) return;
@@ -318,7 +322,7 @@ void YbTabletNode::OnBatch(const YbBatchRequest& req) {
   const NodeId reply_to = req.from;
   const TxnId txn = req.txn;
   const uint64_t req_id = req.req_id;
-  loop()->Schedule(cost, [this, ops, reply_to, txn, req_id]() {
+  timer_->Schedule(cost, [this, ops, reply_to, txn, req_id]() {
     auto resp = std::make_unique<YbBatchResponse>();
     resp->from = id_;
     resp->to = reply_to;

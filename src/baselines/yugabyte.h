@@ -22,7 +22,7 @@
 #include "baselines/store_messages.h"
 #include "middleware/catalog.h"
 #include "protocol/messages.h"
-#include "sim/network.h"
+#include "runtime/runtime.h"
 #include "storage/engine.h"
 #include "storage/versioned_store.h"
 
@@ -50,15 +50,14 @@ struct YbStats {
 
 class YbTabletNode {
  public:
-  YbTabletNode(NodeId id, sim::Network* network,
-               const middleware::Catalog* catalog, YbConfig config);
+  YbTabletNode(runtime::ActorEnv env, const middleware::Catalog* catalog,
+               YbConfig config);
 
   void Attach();
 
   NodeId id() const { return id_; }
   storage::VersionedStore& store() { return store_; }
   const YbStats& stats() const { return stats_; }
-  sim::EventLoop* loop() { return network_->loop(); }
 
  private:
   struct Txn {
@@ -74,7 +73,7 @@ class YbTabletNode {
     int conflict_retries_left = 0;
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   // Coordinator role.
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,
@@ -97,7 +96,8 @@ class YbTabletNode {
   Txn* FindTxn(TxnId id);
 
   NodeId id_;
-  sim::Network* network_;
+  runtime::ITransport* network_;
+  runtime::ITimer* timer_;
   const middleware::Catalog* catalog_;
   YbConfig config_;
   storage::VersionedStore store_;

@@ -15,7 +15,6 @@
 #include "common/types.h"
 #include "protocol/messages.h"
 #include "runtime/runtime.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace core {
@@ -45,13 +44,6 @@ class LatencyMonitor {
   LatencyMonitor(NodeId self, runtime::ITransport* transport,
                  runtime::ITimer* timer, std::vector<NodeId> targets,
                  LatencyMonitorConfig config = LatencyMonitorConfig());
-
-  /// Simulated-deployment convenience: the timer is the network's loop.
-  LatencyMonitor(NodeId self, sim::Network* network,
-                 std::vector<NodeId> targets,
-                 LatencyMonitorConfig config = LatencyMonitorConfig())
-      : LatencyMonitor(self, network, network->loop(), std::move(targets),
-                       config) {}
 
   /// Re-evaluated before every ping round, so probes follow failovers
   /// (the ROADMAP stale-leader bug: without this the monitor kept pinging

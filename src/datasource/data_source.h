@@ -1,7 +1,7 @@
 // DataSourceNode: one geo-distributed data source — an XA-capable engine
 // (MySQL- or PostgreSQL-flavoured) fronted by a GeoTP geo-agent.
 //
-// The node is an actor on the simulated network. It owns:
+// The node is an actor on either runtime (runtime::ActorEnv). It owns:
 //   * a storage::TransactionEngine (strict 2PL + XA state machine),
 //   * the cost model (per-op execution time, fsync time, agent LAN hop),
 //   * the geo-agent, which implements the paper's two data-source-side
@@ -29,9 +29,6 @@
 #include "replication/replicator.h"
 #include "runtime/runtime.h"
 #include "sharding/migrator.h"
-#include "sim/event_loop.h"
-#include "sim/network.h"
-#include "sql/rewriter.h"
 #include "storage/engine.h"
 #include "storage/group_commit.h"
 
@@ -39,7 +36,6 @@ namespace geotp {
 namespace datasource {
 
 struct DataSourceConfig {
-  sql::Dialect dialect = sql::Dialect::kMySql;
   storage::EngineConfig engine;
   /// Geo-agent <-> database LAN round trip (the decentralized prepare costs
   /// one of these instead of a WAN round trip; paper §IV-A).
@@ -84,13 +80,11 @@ struct DataSourceConfig {
 
   static DataSourceConfig MySql() {
     DataSourceConfig config;
-    config.dialect = sql::Dialect::kMySql;
     config.engine = storage::MySqlEngineConfig();
     return config;
   }
   static DataSourceConfig Postgres() {
     DataSourceConfig config;
-    config.dialect = sql::Dialect::kPostgres;
     config.engine = storage::PostgresEngineConfig();
     return config;
   }
@@ -118,11 +112,9 @@ struct DataSourceStats {
 
 class DataSourceNode {
  public:
-  /// Runtime-seam constructor: the node runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The node runs on whatever backend `env` belongs to (sim event loop
+  /// or a loopback actor thread).
   DataSourceNode(runtime::ActorEnv env, DataSourceConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  DataSourceNode(NodeId id, sim::Network* network, DataSourceConfig config);
 
   /// Registers the node's message handler with the network.
   void Attach();
@@ -217,7 +209,7 @@ class DataSourceNode {
     bool last_statement = false;
     Micros started_at = 0;
     NodeId reply_to = kInvalidNode;
-    sim::EventId timeout_event = sim::kInvalidEvent;
+    runtime::TimerId timeout_event = runtime::kInvalidTimer;
     bool finished = false;
     obs::SpanHandle exec_span = obs::kInvalidSpan;
   };
@@ -242,11 +234,11 @@ class DataSourceNode {
   /// is gone or was never sampled).
   obs::TraceContext BranchTrace(TxnId txn) const;
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   /// Promotion barrier (see Replicator::ReadyToServe): true for message
   /// types that read or mutate transactional state and therefore must not
   /// run while a freshly promoted leader's store is behind its log.
-  static bool ParkedDuringPromotion(sim::MessageType type);
+  static bool ParkedDuringPromotion(runtime::MessageType type);
   void OnExecute(const protocol::BranchExecuteRequest& req);
   void RunNextOp(const std::shared_ptr<ExecState>& state);
   void FinishExecSuccess(const std::shared_ptr<ExecState>& state);
@@ -276,7 +268,7 @@ class DataSourceNode {
   std::unordered_map<TxnId, BranchInfo> branches_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
-  std::vector<std::unique_ptr<sim::MessageBase>> parked_;
+  std::vector<std::unique_ptr<runtime::MessageBase>> parked_;
 };
 
 }  // namespace datasource

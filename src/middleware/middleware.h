@@ -39,7 +39,6 @@
 #include "obs/trace.h"
 #include "protocol/messages.h"
 #include "sharding/balancer.h"
-#include "sim/network.h"
 #include "storage/group_commit.h"
 
 namespace geotp {
@@ -153,13 +152,10 @@ struct DecisionLogEntry {
 
 class MiddlewareNode {
  public:
-  /// Runtime-seam constructor: the DM runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The DM runs on whatever backend `env` belongs to (sim event loop or
+  /// a loopback actor thread).
   MiddlewareNode(runtime::ActorEnv env, uint32_t ordinal, Catalog catalog,
                  MiddlewareConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  MiddlewareNode(NodeId id, uint32_t ordinal, sim::Network* network,
-                 Catalog catalog, MiddlewareConfig config);
   ~MiddlewareNode();
 
   /// Registers with the network and starts the latency monitor.
@@ -269,7 +265,7 @@ class MiddlewareNode {
     obs::SpanHandle commit_span = obs::kInvalidSpan;
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void PlanAndDispatchRound(TxnId id);
   void OnExecResponse(const protocol::BranchExecuteResponse& resp);

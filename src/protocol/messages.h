@@ -19,7 +19,6 @@
 #include "common/types.h"
 #include "runtime/message.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace protocol {
@@ -27,8 +26,9 @@ namespace protocol {
 using runtime::Message;
 using runtime::MessageType;
 
-/// One record operation as submitted by a client (already parsed /
-/// partition-routed form; the SQL path in src/sql produces these).
+/// One record operation as submitted by a client, in parsed, routable
+/// form: the DM charges `analysis_cost` for statement analysis instead of
+/// parsing SQL text.
 struct ClientOp {
   RecordKey key;
   bool is_write = false;

@@ -19,7 +19,6 @@
 #include "protocol/messages.h"
 #include "replication/replication_config.h"
 #include "runtime/runtime.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace replication {

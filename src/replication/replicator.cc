@@ -258,9 +258,9 @@ std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
 // Message handling
 // ---------------------------------------------------------------------------
 
-bool Replicator::HandleMessage(sim::MessageBase* msg) {
+bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
-    case sim::MessageType::kReplAppendRequest: {
+    case runtime::MessageType::kReplAppendRequest: {
       auto& req = static_cast<ReplAppendRequest&>(*msg);
       if (!protocol::OpenAppendPayload(&req)) {
         // Corrupt envelope (hash or bounds check failed): drop the whole
@@ -270,19 +270,19 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnAppend(req);
       return true;
     }
-    case sim::MessageType::kReplAppendAck:
+    case runtime::MessageType::kReplAppendAck:
       OnAppendAck(static_cast<ReplAppendAck&>(*msg));
       return true;
-    case sim::MessageType::kReplVoteRequest:
+    case runtime::MessageType::kReplVoteRequest:
       OnVoteRequest(static_cast<ReplVoteRequest&>(*msg));
       return true;
-    case sim::MessageType::kReplVoteResponse:
+    case runtime::MessageType::kReplVoteResponse:
       OnVoteResponse(static_cast<ReplVoteResponse&>(*msg));
       return true;
-    case sim::MessageType::kFollowerReadRequest:
+    case runtime::MessageType::kFollowerReadRequest:
       OnFollowerRead(static_cast<FollowerReadRequest&>(*msg));
       return true;
-    case sim::MessageType::kShardSnapshotChunk: {
+    case runtime::MessageType::kShardSnapshotChunk: {
       // migration_id == 0 marks a replication bootstrap snapshot; shard
       // migration chunks fall through to the ShardMigrator.
       auto& chunk = static_cast<protocol::ShardSnapshotChunk&>(*msg);
@@ -295,7 +295,7 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnBootstrapSnapshot(chunk);
       return true;
     }
-    case sim::MessageType::kShardSeedOffer: {
+    case runtime::MessageType::kShardSeedOffer: {
       const auto& offer = static_cast<protocol::ShardSeedOffer&>(*msg);
       if (offer.migration_id != 0 || offer.group != group_.logical) {
         return false;  // migration-resume offer: the ShardMigrator handles it
@@ -303,7 +303,7 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnSeedOffer(offer);
       return true;
     }
-    case sim::MessageType::kShardSeedDecline: {
+    case runtime::MessageType::kShardSeedDecline: {
       const auto& decline = static_cast<protocol::ShardSeedDecline&>(*msg);
       if (decline.migration_id != 0 || decline.group != group_.logical) {
         return false;
@@ -342,8 +342,11 @@ void Replicator::OnAppend(const ReplAppendRequest& req) {
   ack->epoch = election_.epoch();
 
   // Raft-style log matching: our entry at prev_index must be the leader's.
+  // Below the compaction offset there is nothing to compare: that prefix
+  // is quorum-applied, so it matches any legitimate leader (a reordering
+  // link can deliver such a late append after we compacted past it).
   if (req.prev_index > log_.last_index() ||
-      (req.prev_index > 0 &&
+      (req.prev_index > 0 && req.prev_index >= log_.offset() &&
        log_.EpochAt(req.prev_index) != req.prev_epoch)) {
     ack->ok = false;
     ack->ack_index = req.prev_index > 0
@@ -763,7 +766,7 @@ void Replicator::WipeForBootstrap() {
 
 void Replicator::ArmElectionTimer(Micros delay) {
   election_timer_ = loop()->Schedule(delay, [this]() {
-    election_timer_ = sim::kInvalidEvent;
+    election_timer_ = runtime::kInvalidTimer;
     OnElectionCheck();
   });
 }
@@ -804,7 +807,7 @@ void Replicator::StartElection() {
 void Replicator::ArmHeartbeatTimer() {
   heartbeat_timer_ =
       loop()->Schedule(group_.config.heartbeat_interval, [this]() {
-        heartbeat_timer_ = sim::kInvalidEvent;
+        heartbeat_timer_ = runtime::kInvalidTimer;
         if (node_->crashed() || !IsLeader()) return;
         shipper_.Tick();
         MaybeTruncateLog();
@@ -947,7 +950,7 @@ void Replicator::AnnounceLeadership() {
 void Replicator::SyncRoleState() {
   if (election_.role() == Role::kLeader) return;
   RetireLeadership();
-  if (election_timer_ == sim::kInvalidEvent && !node_->crashed()) {
+  if (election_timer_ == runtime::kInvalidTimer && !node_->crashed()) {
     ArmElectionTimer(group_.config.election_timeout +
                      ordinal_ * group_.config.election_stagger);
   }
@@ -1014,13 +1017,13 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
 // ---------------------------------------------------------------------------
 
 void Replicator::OnCrash() {
-  if (election_timer_ != sim::kInvalidEvent) {
+  if (election_timer_ != runtime::kInvalidTimer) {
     loop()->Cancel(election_timer_);
-    election_timer_ = sim::kInvalidEvent;
+    election_timer_ = runtime::kInvalidTimer;
   }
-  if (heartbeat_timer_ != sim::kInvalidEvent) {
+  if (heartbeat_timer_ != runtime::kInvalidTimer) {
     loop()->Cancel(heartbeat_timer_);
-    heartbeat_timer_ = sim::kInvalidEvent;
+    heartbeat_timer_ = runtime::kInvalidTimer;
   }
   election_.StepDown();
   RetireLeadership();

@@ -25,9 +25,8 @@
 #include "protocol/messages.h"
 #include "replication/election.h"
 #include "replication/log_shipper.h"
-#include "runtime/runtime.h"
 #include "replication/replication_config.h"
-#include "sim/event_loop.h"
+#include "runtime/runtime.h"
 
 namespace geotp {
 namespace datasource {
@@ -162,7 +161,7 @@ class Replicator {
   // ----- lifecycle --------------------------------------------------------
 
   /// Consumes replication traffic. Returns false for unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Crash: timers stop, volatile shipping state drops; the log (a WAL)
   /// and applied store survive, mirroring the engine's crash semantics.
@@ -305,8 +304,8 @@ class Replicator {
   };
   std::optional<PendingBootstrap> pending_bootstrap_;
 
-  sim::EventId election_timer_ = sim::kInvalidEvent;
-  sim::EventId heartbeat_timer_ = sim::kInvalidEvent;
+  runtime::TimerId election_timer_ = runtime::kInvalidTimer;
+  runtime::TimerId heartbeat_timer_ = runtime::kInvalidTimer;
   /// Inherited entries not yet re-quorum'd + applied (promotion barrier).
   uint64_t promotion_applies_pending_ = 0;
   /// "repl.promotion" system span (BecomeLeader -> barrier cleared).

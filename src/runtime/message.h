@@ -1,13 +1,8 @@
 // MessageBase / MessageType: the wire-level message vocabulary of the
-// protocol stack, independent of any execution backend.
-//
-// Historically these lived in sim/network.h because the discrete-event
-// simulator was the only thing that could deliver a message. The pluggable
-// runtime moves them here: the same message structs now travel either
-// through sim::Network (virtual time, sampled link latency) or through the
-// loopback runtime's TCP sockets (real threads, real wire bytes via
-// runtime/codec.h). sim/network.h aliases these names so existing
-// `sim::MessageBase` spellings keep compiling.
+// protocol stack, independent of any execution backend. The same message
+// structs travel either through sim::Network (virtual time, sampled link
+// latency) or through the loopback runtime's TCP sockets (real threads,
+// real wire bytes via runtime/codec.h).
 #ifndef GEOTP_RUNTIME_MESSAGE_H_
 #define GEOTP_RUNTIME_MESSAGE_H_
 

@@ -27,6 +27,7 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/types.h"
 #include "runtime/message.h"
 
@@ -158,6 +159,14 @@ struct ActorEnv {
   ITimer* timer = nullptr;
   ITransport* transport = nullptr;
   IStorageFactory* storage = nullptr;
+
+  /// Opens the actor's durable device `name`. Every Runtime sets
+  /// `storage`, so an env without it was not handed out by one.
+  std::unique_ptr<IStableStorage> OpenStorage(const std::string& name) const {
+    GEOTP_CHECK(storage != nullptr, "ActorEnv for node " << node
+                                                          << " has no storage");
+    return storage->OpenStorage(node, name);
+  }
 };
 
 /// A runtime backend: transports, per-actor timers, and storage devices

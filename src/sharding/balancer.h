@@ -34,7 +34,6 @@
 #include "common/types.h"
 #include "protocol/messages.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace middleware {
@@ -139,7 +138,7 @@ class ShardBalancer {
 
   /// Consumes ShardCutoverReady / ShardMigrateAborted. Returns false for
   /// unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Chaos/test hook: splits the range covering (`table`, `at`) at `at`,
   /// publishes the new boundaries. Refused (false) when the split point is

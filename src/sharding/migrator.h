@@ -60,7 +60,6 @@
 #include "protocol/messages.h"
 #include "replication/replicator.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace datasource {
@@ -113,7 +112,7 @@ class ShardMigrator {
   explicit ShardMigrator(datasource::DataSourceNode* node) : node_(node) {}
 
   /// Consumes sharding traffic. Returns false for unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Routing verdict for an incoming execute batch.
   enum class RouteCheck {

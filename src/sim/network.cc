@@ -37,7 +37,7 @@ bool Network::IsPartitioned(NodeId node) const {
   return partitioned_[static_cast<size_t>(node)];
 }
 
-void Network::Send(std::unique_ptr<MessageBase> msg) {
+void Network::Send(std::unique_ptr<runtime::MessageBase> msg) {
   const NodeId from = msg->from;
   const NodeId to = msg->to;
   GEOTP_CHECK(from >= 0 && from < num_nodes(), "from " << from);
@@ -51,7 +51,8 @@ void Network::Send(std::unique_ptr<MessageBase> msg) {
   const Micros delay = matrix_.SampleOneWay(from, to, rng_);
   // std::function requires copyable callables, so park the unique_ptr in a
   // shared holder; the event fires exactly once and moves it out.
-  auto holder = std::make_shared<std::unique_ptr<MessageBase>>(std::move(msg));
+  auto holder =
+      std::make_shared<std::unique_ptr<runtime::MessageBase>>(std::move(msg));
   loop_->Schedule(delay, [this, to, holder]() {
     if (partitioned_[static_cast<size_t>(to)]) return;  // dropped at the NIC
     auto& handler = handlers_[static_cast<size_t>(to)];

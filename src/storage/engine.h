@@ -49,7 +49,8 @@ struct EngineConfig {
 
 /// Engine-flavour presets used for the heterogeneous-deployment study
 /// (Table I). The numbers differ slightly so S1/S2/S3 are distinguishable;
-/// the XA dialect differences live in src/sql.
+/// the cost model is the only thing that tells a MySQL source from a
+/// PostgreSQL one (workload::ExperimentConfig::engines picks them).
 EngineConfig MySqlEngineConfig();
 EngineConfig PostgresEngineConfig();
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "sim/event_loop.h"
 
 namespace geotp {
 namespace workload {
@@ -13,13 +12,6 @@ using protocol::ClientFinishRequest;
 using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
-
-ClientDriver::ClientDriver(NodeId client_node, sim::Network* network,
-                           NodeId coordinator, WorkloadGenerator* generator,
-                           DriverConfig config)
-    : ClientDriver(runtime::ActorEnv{client_node, network->loop(), network,
-                                     nullptr},
-                   coordinator, generator, config) {}
 
 ClientDriver::ClientDriver(runtime::ActorEnv env, NodeId coordinator,
                            WorkloadGenerator* generator, DriverConfig config)
@@ -41,7 +33,7 @@ ClientDriver::ClientDriver(runtime::ActorEnv env, NodeId coordinator,
 
 void ClientDriver::Attach() {
   network_->RegisterNode(client_node_,
-                         [this](std::unique_ptr<sim::MessageBase> msg) {
+                         [this](std::unique_ptr<runtime::MessageBase> msg) {
                            HandleMessage(std::move(msg));
                          });
 }
@@ -73,15 +65,15 @@ void ClientDriver::Start() {
   }
 }
 
-void ClientDriver::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void ClientDriver::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundResponse:
+    case runtime::MessageType::kClientRoundResponse:
       OnRoundResponse(static_cast<ClientRoundResponse&>(*msg));
       return;
-    case sim::MessageType::kClientTxnResult:
+    case runtime::MessageType::kClientTxnResult:
       OnTxnResult(static_cast<ClientTxnResult&>(*msg));
       return;
-    case sim::MessageType::kOverloadedResponse:
+    case runtime::MessageType::kOverloadedResponse:
       OnOverloaded(static_cast<protocol::OverloadedResponse&>(*msg));
       return;
     default:

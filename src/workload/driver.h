@@ -19,7 +19,6 @@
 #include "metrics/stats.h"
 #include "protocol/messages.h"
 #include "runtime/runtime.h"
-#include "sim/network.h"
 #include "workload/generator.h"
 
 namespace geotp {
@@ -71,12 +70,9 @@ struct TenantStats {
 
 class ClientDriver {
  public:
-  /// Runtime-seam constructor: the driver runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The driver runs on whatever backend `env` belongs to (sim event loop
+  /// or a loopback actor thread).
   ClientDriver(runtime::ActorEnv env, NodeId coordinator,
-               WorkloadGenerator* generator, DriverConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  ClientDriver(NodeId client_node, sim::Network* network, NodeId coordinator,
                WorkloadGenerator* generator, DriverConfig config);
 
   /// Registers the client node handler. Call once before Start().
@@ -126,7 +122,7 @@ class ClientDriver {
     Rng rng{0};
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnRoundResponse(const protocol::ClientRoundResponse& resp);
   void OnTxnResult(const protocol::ClientTxnResult& result);
   void OnOverloaded(const protocol::OverloadedResponse& shed);

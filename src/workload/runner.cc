@@ -11,6 +11,8 @@
 #include "datasource/data_source.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "runtime/sim_runtime.h"
+#include "sim/network.h"
 #include "sim/topology.h"
 
 namespace geotp {
@@ -104,6 +106,7 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
       sim::DefaultTopology::Make(config.ds_rtts_ms, config.jitter_frac);
   sim::EventLoop loop;
   sim::Network network(&loop, topo.matrix, config.seed);
+  runtime::SimRuntime rt(&loop, &network);
 
   middleware::MiddlewareConfig dm_config = ConfigForSystem(config.system);
   if (config.dm_tweak) config.dm_tweak(&dm_config);
@@ -111,17 +114,13 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
   // Data sources.
   std::vector<std::unique_ptr<datasource::DataSourceNode>> sources;
   for (size_t i = 0; i < topo.data_sources.size(); ++i) {
-    const sql::Dialect dialect = i < config.dialects.size()
-                                     ? config.dialects[i]
-                                     : sql::Dialect::kMySql;
     datasource::DataSourceConfig ds_config =
-        dialect == sql::Dialect::kPostgres
-            ? datasource::DataSourceConfig::Postgres()
-            : datasource::DataSourceConfig::MySql();
+        datasource::DataSourceConfig::MySql();
+    if (i < config.engines.size()) ds_config.engine = config.engines[i];
     ds_config.early_abort = dm_config.early_abort;
     if (config.ds_tweak) config.ds_tweak(&ds_config);
     sources.push_back(std::make_unique<datasource::DataSourceNode>(
-        topo.data_sources[i], &network, ds_config));
+        rt.EnvFor(topo.data_sources[i]), ds_config));
     sources.back()->Attach();
   }
 
@@ -156,7 +155,7 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
     }
   }
 
-  middleware::MiddlewareNode dm(topo.middleware, /*ordinal=*/0, &network,
+  middleware::MiddlewareNode dm(rt.EnvFor(topo.middleware), /*ordinal=*/0,
                                 std::move(catalog), dm_config);
   dm.Attach();
   if (config.collect_metrics) {
@@ -169,11 +168,11 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
 
   DriverConfig driver_config = config.driver;
   driver_config.seed = config.seed * 7919 + 17;
-  ClientDriver driver(topo.client, &network, topo.middleware,
+  ClientDriver driver(rt.EnvFor(topo.client), topo.middleware,
                       generator.get(), driver_config);
   driver.Attach();
 
-  if (config.pre_run) config.pre_run(&loop, &network);
+  if (config.pre_run) config.pre_run(&loop, &network.matrix());
   driver.Start();
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 

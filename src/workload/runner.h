@@ -15,7 +15,9 @@
 #include "datasource/data_source.h"
 #include "metrics/stats.h"
 #include "middleware/middleware.h"
-#include "sql/rewriter.h"
+#include "sim/event_loop.h"
+#include "sim/latency.h"
+#include "storage/engine.h"
 #include "workload/driver.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
@@ -51,8 +53,10 @@ struct ExperimentConfig {
   /// RTTs from DM to each data source in ms (paper default topology).
   std::vector<double> ds_rtts_ms = {0.0, 27.0, 73.0, 251.0};
   double jitter_frac = 0.0;
-  /// Engine flavour per data source; defaults to all-MySQL (paper default).
-  std::vector<sql::Dialect> dialects;
+  /// Engine cost preset per data source (storage::MySqlEngineConfig(),
+  /// PostgresEngineConfig(), ...); sources past the end, and every source
+  /// when empty, get the MySQL preset (paper default).
+  std::vector<storage::EngineConfig> engines;
 
   YcsbConfig ycsb;  ///< data_sources filled in by the runner
   TpccConfig tpcc;  ///< data_sources filled in by the runner
@@ -62,13 +66,14 @@ struct ExperimentConfig {
   /// (ablations over alpha, ping interval, admission knobs, ...).
   std::function<void(middleware::MiddlewareConfig*)> dm_tweak;
 
-  /// Hook to tweak each data source's config after the dialect preset is
+  /// Hook to tweak each data source's config after the engine preset is
   /// applied (group-commit policy, fsync costs, ...).
   std::function<void(datasource::DataSourceConfig*)> ds_tweak;
 
   /// Hook run after assembly, before Start() — used by the dynamic-network
-  /// experiment (Fig. 11b) to schedule latency re-configuration events.
-  std::function<void(sim::EventLoop*, sim::Network*)> pre_run;
+  /// experiment (Fig. 11b) to schedule link re-shaping on the loop: the
+  /// network samples every delivery from the matrix it is handed.
+  std::function<void(sim::EventLoop*, sim::LatencyMatrix*)> pre_run;
 
   /// Elastic sharding: overlay the workload's range-partitioned table with
   /// chunked shards and run the hotspot-driven balancer at the DM (YCSB

@@ -11,6 +11,7 @@
 #include "middleware/middleware.h"
 #include "protocol/messages.h"
 #include "replication/replication_config.h"
+#include "runtime/sim_runtime.h"
 #include "sharding/shard_map.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -118,6 +119,7 @@ class MiniCluster {
       }
     }
     network_ = std::make_unique<sim::Network>(&loop_, matrix);
+    runtime_ = std::make_unique<runtime::SimRuntime>(&loop_, network_.get());
 
     middleware::Catalog catalog;
     std::vector<NodeId> ds_ids;
@@ -145,7 +147,7 @@ class MiniCluster {
         if (options.ds_tweak) options.ds_tweak(&config);
         if (options.ds_tweak_node) options.ds_tweak_node(replica, &config);
         auto node = std::make_unique<datasource::DataSourceNode>(
-            replica, network_.get(), config);
+            runtime_->EnvFor(replica), config);
         if (rf > 1) {
           replication::GroupConfig group;
           group.logical = 2 + i;
@@ -171,15 +173,16 @@ class MiniCluster {
                                                    dm_ids.end());
       }
       auto dm = std::make_unique<middleware::MiddlewareNode>(
-          dm_ids[j], /*ordinal=*/static_cast<uint32_t>(j), network_.get(),
-          catalog, dm_config);
+          runtime_->EnvFor(dm_ids[j]),
+          /*ordinal=*/static_cast<uint32_t>(j), catalog, dm_config);
       dm->Attach();
       dms_.push_back(std::move(dm));
     }
 
-    network_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
-      OnClientMessage(std::move(msg));
-    });
+    network_->RegisterNode(
+        0, [this](std::unique_ptr<runtime::MessageBase> msg) {
+          OnClientMessage(std::move(msg));
+        });
   }
 
   sim::EventLoop& loop() { return loop_; }
@@ -340,7 +343,7 @@ class MiniCluster {
   }
 
  private:
-  void OnClientMessage(std::unique_ptr<sim::MessageBase> msg) {
+  void OnClientMessage(std::unique_ptr<runtime::MessageBase> msg) {
     if (auto* round = dynamic_cast<protocol::ClientRoundResponse*>(msg.get())) {
       ClientTxn& txn = txns_[round->client_tag];
       txn.txn_id = round->txn_id;
@@ -368,6 +371,7 @@ class MiniCluster {
   Options options_;
   sim::EventLoop loop_;
   std::unique_ptr<sim::Network> network_;
+  std::unique_ptr<runtime::SimRuntime> runtime_;
   std::vector<std::unique_ptr<datasource::DataSourceNode>> sources_;
   std::vector<std::unique_ptr<datasource::DataSourceNode>> followers_;
   std::vector<std::unique_ptr<middleware::MiddlewareNode>> dms_;

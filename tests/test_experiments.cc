@@ -123,9 +123,9 @@ TEST(ExperimentTest, DynamicLatencyHookRuns) {
   // Fig. 11b plumbing: re-shape a link mid-run; GeoTP keeps committing.
   ExperimentConfig config = Base();
   config.system = SystemKind::kGeoTP;
-  config.pre_run = [](sim::EventLoop* loop, sim::Network* network) {
-    loop->Schedule(SecToMicros(8), [network]() {
-      network->matrix().SetSymmetric(1, 3, sim::LinkSpec::FromRttMs(150.0));
+  config.pre_run = [](sim::EventLoop* loop, sim::LatencyMatrix* matrix) {
+    loop->Schedule(SecToMicros(8), [matrix]() {
+      matrix->SetSymmetric(1, 3, sim::LinkSpec::FromRttMs(150.0));
     });
   };
   const auto result = RunExperiment(config);
@@ -145,8 +145,10 @@ TEST(ExperimentTest, JitterProducesVariedLatencies) {
 TEST(ExperimentTest, HeterogeneousDialectsWork) {
   ExperimentConfig config = Base();
   config.system = SystemKind::kGeoTP;
-  config.dialects = {sql::Dialect::kPostgres, sql::Dialect::kMySql,
-                     sql::Dialect::kPostgres, sql::Dialect::kMySql};
+  config.engines = {storage::PostgresEngineConfig(),
+                    storage::MySqlEngineConfig(),
+                    storage::PostgresEngineConfig(),
+                    storage::MySqlEngineConfig()};
   const auto result = RunExperiment(config);
   EXPECT_GT(result.run.committed, 100u);
 }

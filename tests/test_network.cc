@@ -10,6 +10,8 @@ namespace geotp {
 namespace sim {
 namespace {
 
+using runtime::MessageBase;
+
 struct TestMessage : MessageBase {
   int payload = 0;
 };

@@ -16,6 +16,9 @@
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
+#include "sim/network.h"
 #include "sim/topology.h"
 #include "workload/driver.h"
 #include "workload/runner.h"
@@ -281,6 +284,7 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
+  runtime::SimRuntime rt(&loop, &network);
 
   middleware::MiddlewareConfig dm_config = middleware::MiddlewareConfig::GeoTP();
   middleware::Catalog catalog;
@@ -298,7 +302,7 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
           datasource::DataSourceConfig::MySql();
       ds_config.early_abort = dm_config.early_abort;
       auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
+          rt.EnvFor(replica), ds_config);
       replication::GroupConfig repl;
       repl.logical = group[0];
       repl.replicas = group;
@@ -308,7 +312,7 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
       nodes.push_back(std::move(node));
     }
   }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
+  middleware::MiddlewareNode node_dm(rt.EnvFor(dm), 0, std::move(catalog),
                                      dm_config);
   node_dm.Attach();
 
@@ -316,7 +320,7 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
   driver_config.terminals = 16;
   driver_config.warmup = MsToMicros(500);
   driver_config.measure = SecToMicros(6);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(rt.EnvFor(client), dm, &gen, driver_config);
   driver.Attach();
   driver.Start();
 

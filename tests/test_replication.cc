@@ -381,6 +381,56 @@ TEST(ReplicationTest, ReplicatedLogIsTruncatedUpToQuorumAppliedIndex) {
                   .ok());
 }
 
+// A jittered leader->follower link can reorder appends, so a late one may
+// arrive after the follower compacted past its prev_index. The follower
+// must accept it (the compacted prefix is quorum-applied) instead of
+// reading a compacted entry's epoch, which aborted the process.
+TEST(ReplicationTest, LateAppendBelowCompactedPrefixIsAccepted) {
+  MiniCluster cluster(ReplicatedOptions());
+  for (uint64_t t = 1; t <= 8; ++t) {
+    ASSERT_TRUE(cluster
+                    .RunTxn(t, {MiniCluster::Write(cluster.KeyOn(0, t), 10),
+                                MiniCluster::Write(cluster.KeyOn(1, t), 20)})
+                    .ok());
+  }
+  cluster.RunFor(2000);  // heartbeats drain applies + compaction
+
+  datasource::DataSourceNode& follower = cluster.follower(0, 0);
+  replication::Replicator* repl = follower.replicator();
+  const uint64_t offset = repl->log().offset();
+  ASSERT_GE(offset, 2u) << "the follower must have compacted a prefix";
+  const uint64_t last_index = repl->log().last_index();
+  const uint64_t appends = repl->stats().appends_received;
+
+  // A retransmit the leader sent before the follower compacted: it starts
+  // below the offset and carries an entry the follower already applied.
+  protocol::ReplAppendRequest late;
+  late.from = cluster.source(0).id();
+  late.to = follower.id();
+  late.group = repl->group_id();
+  late.epoch = repl->epoch();
+  late.prev_index = offset - 1;
+  late.prev_epoch = repl->epoch();
+  protocol::ReplEntry entry;
+  entry.index = offset;
+  entry.epoch = repl->epoch();
+  late.entries.push_back(entry);
+  late.commit_watermark = repl->commit_watermark();
+  EXPECT_TRUE(repl->HandleMessage(&late));
+  EXPECT_EQ(repl->stats().appends_received, appends + 1);
+  EXPECT_EQ(repl->log().offset(), offset);
+  EXPECT_EQ(repl->log().last_index(), last_index);
+
+  // Shipping continues past the late append.
+  ASSERT_TRUE(cluster.RunTxn(100, {MiniCluster::Write(cluster.KeyOn(0, 99), 5),
+                                   MiniCluster::Write(cluster.KeyOn(1, 99), 6)})
+                  .ok());
+  cluster.RunFor(500);
+  auto record = follower.engine().store().Get(cluster.KeyOn(0, 99));
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->value, 5);
+}
+
 TEST(ReplicationTest, LatencyMonitorRetargetsProbesAfterFailover) {
   MiniCluster cluster(ReplicatedOptions());
   cluster.RunFor(500);

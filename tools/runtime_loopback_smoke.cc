@@ -11,9 +11,11 @@
 // Verification: YCSB updates are deltas, so the final value of every key
 // is exactly the sum of the deltas of COMMITTED transactions, in any
 // order. The client feeds each committed spec into an in-memory oracle;
-// after quiescing the driver the parent reads every touched key back
-// through the middleware (fresh read-only transactions over the same
-// wire) and compares. Any lost or phantom commit fails the run.
+// after quiescing the driver and waiting until the DM coordinates no
+// transaction (bounded; a DM that does not drain fails the run), the
+// parent reads every touched key back through the middleware (fresh
+// read-only transactions over the same wire) and compares. Any lost or
+// phantom commit fails the run.
 //
 // Output: a JSON report (measured throughput next to the simulator's
 // prediction for the same configuration) on stdout and optionally to
@@ -36,6 +38,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,6 +73,9 @@ const std::vector<NodeId> kDataSources = {2, 3};
 constexpr int kTerminals = 16;
 constexpr Micros kWarmup = MsToMicros(200);
 constexpr Micros kMeasure = MsToMicros(2000);
+/// Upper bound on waiting for the DM to finish its in-flight transactions
+/// once the driver stops starting new ones.
+constexpr auto kDrainDeadline = std::chrono::seconds(10);
 
 workload::YcsbConfig SmokeYcsb() {
   workload::YcsbConfig ycsb;
@@ -258,6 +264,9 @@ TraceCheck CheckMergedTrace(
 }
 
 int RunParent(const char* self, const std::string& out_path) {
+  // A child that dies turns a write on its stdin pipe into an error here
+  // rather than killing the parent with SIGPIPE.
+  signal(SIGPIPE, SIG_IGN);
   SetLogPrefix("parent");
   EnableFullTracing();
   const std::string data_dir =
@@ -348,7 +357,28 @@ int RunParent(const char* self, const std::string& out_path) {
     driver.Stop();
     return 0;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // The oracle is complete once the DM coordinates nothing: it posts a
+  // transaction's result to the client's mailbox before dropping the
+  // transaction, and the client's executor drains its mailbox ahead of
+  // timers, so the snapshot below sees every outcome.
+  runtime::ITimer* dm_timer = rt.TimerFor(kMiddleware);
+  const auto drain_start = std::chrono::steady_clock::now();
+  size_t dm_inflight = OnExecutor(dm_timer, [&]() { return dm.InFlight(); });
+  while (dm_inflight != 0 &&
+         std::chrono::steady_clock::now() - drain_start < kDrainDeadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    dm_inflight = OnExecutor(dm_timer, [&]() { return dm.InFlight(); });
+  }
+  const double drain_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - drain_start)
+          .count();
+  const bool dm_drained = dm_inflight == 0;
+  if (!dm_drained) {
+    std::cerr << "DM NOT DRAINED: " << dm_inflight
+              << " transactions still in flight after " << drain_ms
+              << " ms\n";
+  }
 
   const metrics::RunStats stats =
       OnExecutor(client_timer, [&]() { return driver.stats(); });
@@ -504,6 +534,9 @@ int RunParent(const char* self, const std::string& out_path) {
        << "  \"p99_latency_ms\": " << MicrosToMs(stats.latency.P99()) << ",\n"
        << "  \"frames_sent\": " << frames_sent << ",\n"
        << "  \"frames_received\": " << frames_received << ",\n"
+       << "  \"dm_drained\": " << (dm_drained ? "true" : "false") << ",\n"
+       << "  \"dm_inflight_at_snapshot\": " << dm_inflight << ",\n"
+       << "  \"drain_ms\": " << drain_ms << ",\n"
        << "  \"oracle_keys\": " << oracle_snapshot.size() << ",\n"
        << "  \"oracle_verified\": " << verified << ",\n"
        << "  \"oracle_read_failures\": " << read_failures << ",\n"
@@ -521,6 +554,12 @@ int RunParent(const char* self, const std::string& out_path) {
     out << json.str();
   }
 
+  if (!dm_drained) {
+    std::cerr << "SMOKE FAILED: the DM did not drain within "
+              << kDrainDeadline.count() << " s (" << dm_inflight
+              << " transactions in flight)\n";
+    return 1;
+  }
   if (mismatches != 0 || verified == 0) {
     std::cerr << "SMOKE FAILED: " << mismatches << " mismatches, " << verified
               << " keys verified\n";
