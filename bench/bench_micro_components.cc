@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
 // manager, hotspot footprint (AVL+LRU), geo-scheduler planning, event
-// loop and zipfian sampling. These quantify the DM-side overheads the
+// loop, zipfian sampling, and the key-ordered record store (point ops,
+// bulk load, committed range reads). These quantify the DM-side overheads the
 // paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
 // transaction; the per-call costs here are sub-microsecond).
 #include <benchmark/benchmark.h>
@@ -10,7 +11,9 @@
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "storage/engine.h"
 #include "storage/lock_manager.h"
+#include "storage/record_store.h"
 
 namespace geotp {
 namespace {
@@ -141,6 +144,67 @@ void BM_BoundedZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundedZipfSample);
+
+/// A store preloaded with `records` ascending keys of table 1, the way a
+/// restored backup (perfbench's preload) fills it.
+void Preload(storage::RecordStore& store, uint64_t records) {
+  for (uint64_t k = 0; k < records; ++k) store.Apply(RecordKey{1, k}, 0);
+}
+
+void BM_RecordStoreGetApply(benchmark::State& state) {
+  const auto residents = static_cast<uint64_t>(state.range(0));
+  storage::RecordStore store;
+  Preload(store, residents);
+  Rng rng(5);
+  for (auto _ : state) {
+    // A read-modify-write of a random resident key, as a write op does.
+    const RecordKey key{1, rng.NextU64(residents)};
+    const auto record = store.Get(key);
+    store.Apply(key, (record ? record->value : 0) + 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordStoreGetApply)->Arg(45000)->Arg(250000);
+
+void BM_RecordStorePreload(benchmark::State& state) {
+  for (auto _ : state) {
+    storage::RecordStore store;
+    Preload(store, 250000);
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 250000);
+}
+BENCHMARK(BM_RecordStorePreload)->Unit(benchmark::kMillisecond);
+
+void BM_CommittedRangeChunk(benchmark::State& state) {
+  // One migration pump's read: 512 committed records from a 250k store
+  // while 128 live branches (half of them prepared) hold dirty writes.
+  constexpr uint64_t kResidents = 250000;
+  storage::TransactionEngine engine;
+  Preload(engine.store(), kResidents);
+  Rng rng(6);
+  for (uint64_t b = 0; b < 128; ++b) {
+    const Xid xid{b + 1, 0};
+    (void)engine.Begin(xid);
+    for (int w = 0; w < 4; ++w) {
+      storage::Operation op;
+      op.key = RecordKey{1, rng.NextU64(kResidents)};
+      op.is_write = true;
+      op.write_value = static_cast<int64_t>(b);
+      engine.ExecuteOp(xid, op, [](Status, int64_t) {});
+      if (engine.HasPendingOp(xid)) {
+        engine.CancelPendingOp(xid, Status::Aborted("bench"));
+      }
+    }
+    if (b % 2 == 0) (void)engine.Prepare(xid, 0);
+  }
+  for (auto _ : state) {
+    const uint64_t lo = rng.NextU64(kResidents - 512);
+    benchmark::DoNotOptimize(engine.CommittedRange(
+        RecordKey{1, lo}, RecordKey{1, kResidents}, 512));
+  }
+}
+BENCHMARK(BM_CommittedRangeChunk);
 
 }  // namespace
 }  // namespace geotp

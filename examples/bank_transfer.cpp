@@ -58,8 +58,8 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
   ds1.Attach();
   ds2.Attach();
   // Seed the balances.
-  ds1.engine().store().Put(RecordKey{kSavings, kBob}, 500);
-  ds2.engine().store().Put(RecordKey{kSavings, kAlice}, 300);
+  ds1.engine().store().Apply(RecordKey{kSavings, kBob}, 500);
+  ds2.engine().store().Apply(RecordKey{kSavings, kAlice}, 300);
 
   middleware::Catalog catalog;
   catalog.AddRangePartitionedTable(kSavings, 1000, {2, 3});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -13,43 +14,25 @@ namespace replication {
 
 namespace {
 
-/// Store-scan ordering shared by the offer builder (leader) and the span
-/// hasher (follower): digests only match if both sides pack a span's
-/// records in the same order.
-bool KeyLess(const RecordKey& a, const RecordKey& b) {
-  if (a.table != b.table) return a.table < b.table;
-  return a.key < b.key;
-}
-
-std::vector<protocol::ReplWrite> SortedCommittedRecords(
-    storage::TransactionEngine& engine) {
+/// This replica's committed records with `lo <= key <= hi`, in key order:
+/// the leader packs a seed chunk from exactly what the follower hashes for
+/// the same span, so digests match when the contents do.
+std::vector<protocol::ReplWrite> CommittedSpan(
+    const storage::TransactionEngine& engine, const RecordKey& lo,
+    const RecordKey& hi) {
+  // The exclusive end just past `hi`: the next table's first key, or no
+  // bound at all when `hi` is the largest key there is.
+  std::optional<RecordKey> end = RecordKey{hi.table, hi.key + 1};
+  if (hi.key == std::numeric_limits<uint64_t>::max()) {
+    end = hi.table == std::numeric_limits<uint32_t>::max()
+              ? std::nullopt
+              : std::optional<RecordKey>(RecordKey{hi.table + 1, 0});
+  }
   std::vector<protocol::ReplWrite> records;
-  for (const auto& [key, value] : engine.CommittedRecords()) {
+  for (const auto& [key, value] : engine.CommittedRange(lo, end)) {
     records.push_back(protocol::ReplWrite{key, value});
   }
-  std::sort(records.begin(), records.end(),
-            [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-              return KeyLess(a.key, b.key);
-            });
   return records;
-}
-
-/// Packs this replica's committed records within [lo, hi] (inclusive) in
-/// canonical order — hash-comparable against a SeedDigest for the span.
-uint64_t SpanHash(storage::TransactionEngine& engine, const RecordKey& lo,
-                  const RecordKey& hi) {
-  std::vector<protocol::ReplWrite> records;
-  for (const auto& [key, value] : engine.CommittedRecords(
-           [&lo, &hi](const RecordKey& key) {
-             return !KeyLess(key, lo) && !KeyLess(hi, key);
-           })) {
-    records.push_back(protocol::ReplWrite{key, value});
-  }
-  std::sort(records.begin(), records.end(),
-            [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-              return KeyLess(a.key, b.key);
-            });
-  return common::ContentHash64(protocol::PackWrites(records));
 }
 
 }  // namespace
@@ -551,8 +534,11 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
   stream.base_index = log_.first_index() - 1;
   stream.base_epoch = log_.EpochAt(stream.base_index);
   stream.digests.clear();
-  const std::vector<protocol::ReplWrite> records =
-      SortedCommittedRecords(node_->engine());
+  std::vector<protocol::ReplWrite> records;
+  for (const auto& [key, value] :
+       node_->engine().CommittedRange(RecordKey{0, 0}, std::nullopt)) {
+    records.push_back(protocol::ReplWrite{key, value});
+  }
   const size_t per_chunk =
       std::max<uint64_t>(1, node_->config().migration_chunk_records);
   for (size_t offset = 0; offset < records.size(); offset += per_chunk) {
@@ -625,7 +611,8 @@ void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
   pending.base_index = offer.base_index;
   pending.base_epoch = offer.base_epoch;
   for (const protocol::SeedDigest& digest : offer.digests) {
-    if (SpanHash(node_->engine(), digest.lo, digest.hi) == digest.hash) {
+    if (common::ContentHash64(protocol::PackWrites(CommittedSpan(
+            node_->engine(), digest.lo, digest.hi))) == digest.hash) {
       decline->declined.push_back(digest.seq);
     } else {
       pending.missing.insert(digest.seq);
@@ -668,16 +655,7 @@ void Replicator::OnSeedDecline(const protocol::ShardSeedDecline& decline) {
     // Fresh scan of the span: content may have drifted since the offer
     // (commits keep landing), which is safe — values are absolute and
     // anything newer than base_index re-applies from the retained tail.
-    for (const auto& [key, value] : node_->engine().CommittedRecords(
-             [&digest](const RecordKey& key) {
-               return !KeyLess(key, digest.lo) && !KeyLess(digest.hi, key);
-             })) {
-      chunk->records.push_back(protocol::ReplWrite{key, value});
-    }
-    std::sort(chunk->records.begin(), chunk->records.end(),
-              [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-                return KeyLess(a.key, b.key);
-              });
+    chunk->records = CommittedSpan(node_->engine(), digest.lo, digest.hi);
     const protocol::EnvelopeBytes bytes =
         protocol::SealChunkPayload(codec, chunk.get());
     stats_.wan_bytes_raw += bytes.raw;

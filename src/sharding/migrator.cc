@@ -199,40 +199,24 @@ void ShardMigrator::PumpChunks(uint64_t migration_id) {
   }
   const uint64_t chunk_cap =
       std::max<uint64_t>(1, node_->config().migration_chunk_records);
-  // One committed-records scan + sort per pump, sliced into as many
-  // chunks as the credit window allows (re-scanning per chunk would make
-  // the stream quadratic in resident records). Values are read at send
-  // time: they already include post-cut commits, which also forward as
-  // deltas — absolute values make the duplicate application idempotent,
-  // and the destination's delta-written skip keeps the newer delta value
-  // when the orders race.
-  const ShardRange range = out->range;
-  const uint64_t cursor = out->scan_cursor;
-  std::vector<ReplWrite> remainder;
-  for (const auto& [key, value] : node_->engine().CommittedRecords(
-           [&range, cursor](const RecordKey& key) {
-             return range.Contains(key) && key.key >= cursor;
-           })) {
-    remainder.push_back(ReplWrite{key, value});
-  }
-  const auto by_key = [](const ReplWrite& a, const ReplWrite& b) {
-    return a.key < b.key;
-  };
-  // Only the window's worth of smallest keys needs to be ordered; the
-  // +1 extra element becomes the next pump's cursor. Selecting before
-  // sorting keeps a pump O(remaining + window log window) instead of
-  // fully sorting the remainder just to slice its head off.
-  const size_t total = remainder.size();
+  // One committed range read per pump, sliced into as many chunks as the
+  // credit window allows; the one record past the window only marks that
+  // more follow and becomes the next pump's cursor. Values are read at
+  // send time: they already include post-cut commits, which also forward
+  // as deltas — absolute values make the duplicate application
+  // idempotent, and the destination's delta-written skip keeps the newer
+  // delta value when the orders race.
+  const ShardRange& range = out->range;
   const uint64_t budget_chunks =
       out->acked_chunk_seq + out->credit - out->next_chunk_seq + 1;
   const size_t need = static_cast<size_t>(budget_chunks * chunk_cap + 1);
-  if (total > need) {
-    std::nth_element(remainder.begin(),
-                     remainder.begin() + static_cast<ptrdiff_t>(need) - 1,
-                     remainder.end(), by_key);
-    remainder.resize(need);
+  std::vector<ReplWrite> remainder;
+  for (const auto& [key, value] : node_->engine().CommittedRange(
+           RecordKey{range.table, out->scan_cursor},
+           RecordKey{range.table, range.hi}, need)) {
+    remainder.push_back(ReplWrite{key, value});
   }
-  std::sort(remainder.begin(), remainder.end(), by_key);
+  const size_t total = remainder.size();
   size_t offset = 0;
   while (!out->scan_exhausted &&
          out->next_chunk_seq <= out->acked_chunk_seq + out->credit) {

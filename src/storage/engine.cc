@@ -1,5 +1,6 @@
 #include "storage/engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -76,14 +77,13 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
           return;
         }
         if (operation.is_write) {
-          auto existing = store_.Get(operation.key);
-          const int64_t base = existing ? existing->value : 0;
-          txn->undo.push_back(UndoEntry{
-              operation.key, base, existing ? existing->version : 0});
+          Record& record = store_.Slot(operation.key);
+          const int64_t base = record.value;
+          txn->undo.push_back(UndoEntry{operation.key, base});
           const int64_t final_value =
               operation.is_delta ? base + operation.write_value
                                  : operation.write_value;
-          store_.Apply(operation.key, final_value);
+          record.value = final_value;
           cb(Status::OK(), final_value);
         } else {
           auto record = store_.Get(operation.key);
@@ -148,27 +148,31 @@ std::vector<std::pair<RecordKey, int64_t>> TransactionEngine::WriteSetOf(
   return writes;
 }
 
-std::vector<std::pair<RecordKey, int64_t>>
-TransactionEngine::CommittedRecords(
-    const std::function<bool(const RecordKey&)>& filter) const {
-  // At most one live branch can hold the exclusive lock on a key, so its
-  // OLDEST undo entry (vector order) carries the pre-branch committed
-  // value.
-  std::unordered_map<RecordKey, int64_t, RecordKeyHash> uncommitted;
-  for (const auto& [xid, data] : txns_) {
-    std::unordered_map<RecordKey, int64_t, RecordKeyHash> first_undo;
-    for (const UndoEntry& undo : data.undo) {
-      if (filter && !filter(undo.key)) continue;
-      first_undo.emplace(undo.key, undo.old_value);  // keeps the oldest
-    }
-    uncommitted.insert(first_undo.begin(), first_undo.end());
-  }
+std::vector<std::pair<RecordKey, int64_t>> TransactionEngine::CommittedRange(
+    const RecordKey& lo, const std::optional<RecordKey>& hi,
+    size_t limit) const {
   std::vector<std::pair<RecordKey, int64_t>> records;
-  for (const auto& [key, record] : store_.records()) {
-    if (filter && !filter(key)) continue;
-    auto it = uncommitted.find(key);
-    records.emplace_back(key,
-                         it != uncommitted.end() ? it->second : record.value);
+  for (auto it = store_.LowerBound(lo);
+       it != store_.end() && (!hi || it->first < *hi) && records.size() < limit;
+       ++it) {
+    records.emplace_back(it->first, it->second.value);
+  }
+  if (records.empty()) return records;
+  // Overlay live branches' writes with their pre-branch values. At most
+  // one live branch holds the exclusive lock on a key, and walking its
+  // undo log newest-first leaves the OLDEST image — the committed value.
+  const auto by_key = [](const std::pair<RecordKey, int64_t>& record,
+                         const RecordKey& key) { return record.first < key; };
+  const RecordKey& last = records.back().first;
+  for (const auto& [xid, data] : txns_) {
+    for (auto undo = data.undo.rbegin(); undo != data.undo.rend(); ++undo) {
+      if (undo->key < lo || last < undo->key) continue;
+      const auto pos = std::lower_bound(records.begin(), records.end(),
+                                        undo->key, by_key);
+      if (pos != records.end() && pos->first == undo->key) {
+        pos->second = undo->old_value;
+      }
+    }
   }
   return records;
 }
@@ -187,10 +191,9 @@ Status TransactionEngine::InstallPreparedBranch(
     // grant is synchronous.
     GEOTP_CHECK(id == kInvalidLockRequest && granted,
                 "install: lock contention on " << key.ToString());
-    auto existing = store_.Get(key);
-    data->undo.push_back(UndoEntry{key, existing ? existing->value : 0,
-                                   existing ? existing->version : 0});
-    store_.Apply(key, value);
+    Record& record = store_.Slot(key);
+    data->undo.push_back(UndoEntry{key, record.value});
+    record.value = value;
   }
   data->state = TxnState::kPrepared;
   wal_.Append(WalEntryType::kPrepare, xid, now);
@@ -230,7 +233,7 @@ Status TransactionEngine::Rollback(const Xid& xid, Micros now) {
   }
   // Undo in reverse order.
   for (auto it = data->undo.rbegin(); it != data->undo.rend(); ++it) {
-    store_.Put(it->key, it->old_value);
+    store_.Apply(it->key, it->old_value);
   }
   wal_.Append(WalEntryType::kAbort, xid, now);
   Finish(xid, *data, TxnState::kAborted);

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -109,14 +110,17 @@ class TransactionEngine {
   /// still present). Used to ship writes to replication followers.
   std::vector<std::pair<RecordKey, int64_t>> WriteSetOf(const Xid& xid) const;
 
-  /// Committed values of the resident records accepted by `filter` (all
-  /// of them when empty). Writes of live (ACTIVE / PREPARED) branches are
-  /// applied in place under locks, so the raw store is dirty; this view
-  /// rolls them back through their undo entries. Snapshot transfer (shard
-  /// migration — range-filtered — and follower bootstrap) reads this so
-  /// uncommitted values never leave the node.
-  std::vector<std::pair<RecordKey, int64_t>> CommittedRecords(
-      const std::function<bool(const RecordKey&)>& filter = {}) const;
+  /// Committed values of the resident records with `lo <= key < hi` (no
+  /// upper bound when `hi` is empty), in key order, at most `limit` of
+  /// them. Writes of live (ACTIVE / PREPARED) branches are applied in
+  /// place under locks, so the raw store is dirty; this view overlays each
+  /// such key with its oldest undo image (a key a live branch created
+  /// reads 0). Snapshot transfer (shard migration chunks, follower re-seed
+  /// offers and spans) reads this so uncommitted values never leave the
+  /// node.
+  std::vector<std::pair<RecordKey, int64_t>> CommittedRange(
+      const RecordKey& lo, const std::optional<RecordKey>& hi,
+      size_t limit = std::numeric_limits<size_t>::max()) const;
 
   /// Failover path: recreates a prepared branch from a replicated write
   /// set — takes exclusive locks, applies the writes with undo, and moves
@@ -151,7 +155,6 @@ class TransactionEngine {
   struct UndoEntry {
     RecordKey key;
     int64_t old_value;
-    uint64_t old_version;
   };
   struct TxnData {
     TxnState state = TxnState::kActive;

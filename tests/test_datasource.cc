@@ -101,7 +101,7 @@ class DataSourceTest : public ::testing::Test {
 };
 
 TEST_F(DataSourceTest, ExecutesBatchAndReturnsValues) {
-  ds1_->engine().store().Put(RecordKey{1, 5}, 99);
+  ds1_->engine().store().Apply(RecordKey{1, 5}, 99);
   SendExecute(1, 100, {Read(RecordKey{1, 5}), Write(RecordKey{1, 6}, 7)},
               /*last=*/false);
   loop_.Run();
@@ -180,7 +180,7 @@ TEST_F(DataSourceTest, CommitDecisionAppliesAndAcks) {
 }
 
 TEST_F(DataSourceTest, AbortDecisionRollsBack) {
-  ds1_->engine().store().Put(RecordKey{1, 1}, 7);
+  ds1_->engine().store().Apply(RecordKey{1, 1}, 7);
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 42)}, true, {2});
   loop_.Run();
   SendDecision(1, 100, /*commit=*/false, /*one_phase=*/false);

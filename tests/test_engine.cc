@@ -1,8 +1,12 @@
 // Tests for the XA transaction engine: state machine, in-place writes with
-// undo, crash behaviour, pending-operation cancellation.
+// undo, crash behaviour, pending-operation cancellation, committed range
+// reads.
 #include "storage/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 namespace geotp {
 namespace storage {
@@ -71,7 +75,7 @@ TEST_F(EngineTest, CommitMakesWriteDurable) {
 }
 
 TEST_F(EngineTest, RollbackUndoesWritesInReverse) {
-  engine_.store().Put(K(5), 100);
+  engine_.store().Apply(K(5), 100);
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 2)).ok());
@@ -233,6 +237,79 @@ TEST_F(EngineTest, ActiveCountTracksLiveBranches) {
   EXPECT_EQ(engine_.ActiveCount(), 2u);
   ASSERT_TRUE(engine_.Commit(T(1), 10).ok());
   EXPECT_EQ(engine_.ActiveCount(), 1u);
+}
+
+using Records = std::vector<std::pair<RecordKey, int64_t>>;
+
+TEST_F(EngineTest, CommittedRangeIsOrderedAndStaysInRange) {
+  // Two tables, loaded out of order.
+  for (uint64_t i = 0; i < 100; ++i) {
+    const uint64_t k = (i * 37) % 100;
+    engine_.store().Apply(RecordKey{2, k}, static_cast<int64_t>(k) + 1000);
+    engine_.store().Apply(K(k), static_cast<int64_t>(k));
+  }
+  const Records mid = engine_.CommittedRange(K(10), K(50));
+  ASSERT_EQ(mid.size(), 40u);
+  for (size_t i = 0; i < mid.size(); ++i) {
+    EXPECT_EQ(mid[i].first, K(10 + i));
+    EXPECT_EQ(mid[i].second, static_cast<int64_t>(10 + i));
+  }
+  // The range's end lies past table 1's last key: nothing from table 2.
+  const Records tail = engine_.CommittedRange(K(90), K(1000));
+  ASSERT_EQ(tail.size(), 10u);
+  EXPECT_EQ(tail.front().first, K(90));
+  EXPECT_EQ(tail.back().first, K(99));
+  // An unbounded read walks table 1 then table 2.
+  const Records all = engine_.CommittedRange(RecordKey{0, 0}, std::nullopt);
+  ASSERT_EQ(all.size(), 200u);
+  EXPECT_EQ(all[99].first, K(99));
+  EXPECT_EQ(all[100].first, (RecordKey{2, 0}));
+  EXPECT_TRUE(engine_.CommittedRange(K(50), K(50)).empty());
+}
+
+TEST_F(EngineTest, CommittedRangeLimitContinuesWhereItStopped) {
+  for (uint64_t k = 0; k < 100; ++k) {
+    engine_.store().Apply(K(3 * k), static_cast<int64_t>(k));
+  }
+  const RecordKey hi = K(250);
+  const Records whole = engine_.CommittedRange(K(0), hi);
+  ASSERT_EQ(whole.size(), 84u);
+  Records pieced;
+  RecordKey cursor = K(0);
+  for (;;) {
+    const Records piece = engine_.CommittedRange(cursor, hi, 7);
+    ASSERT_LE(piece.size(), 7u);
+    if (piece.empty()) break;
+    pieced.insert(pieced.end(), piece.begin(), piece.end());
+    cursor = K(piece.back().first.key + 1);
+  }
+  EXPECT_EQ(pieced, whole);
+}
+
+TEST_F(EngineTest, CommittedRangeOverlaysLiveBranches) {
+  engine_.store().Apply(K(1), 10);
+  engine_.store().Apply(K(2), 20);
+  // An ACTIVE and a PREPARED branch, each writing its key twice.
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(1, 11)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(1, 12)).ok());
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  ASSERT_TRUE(Exec(T(2), WriteOp(2, 21)).ok());
+  ASSERT_TRUE(Exec(T(2), WriteOp(2, 22)).ok());
+  ASSERT_TRUE(engine_.Prepare(T(2), 10).ok());
+  EXPECT_EQ(engine_.store().Get(K(1))->value, 12);  // dirty in place
+  EXPECT_EQ(engine_.CommittedRange(K(0), K(10)),
+            (Records{{K(1), 10}, {K(2), 20}}));
+  // Committing the prepared branch exposes its final value.
+  ASSERT_TRUE(engine_.Commit(T(2), 20).ok());
+  EXPECT_EQ(engine_.CommittedRange(K(0), K(10)),
+            (Records{{K(1), 10}, {K(2), 22}}));
+}
+
+TEST_F(EngineTest, CommittedRangeReadsKeyCreatedByLiveBranchAsZero) {
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(3, 5)).ok());
+  EXPECT_EQ(engine_.CommittedRange(K(0), K(10)), (Records{{K(3), 0}}));
 }
 
 }  // namespace

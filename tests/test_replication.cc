@@ -3,7 +3,6 @@
 // follower reads, and rejoin/catch-up of a restarted leader.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -529,20 +528,11 @@ TEST(ReplicationTest, WipedFollowerBootstrapsFromStoreSnapshot) {
 // WAN codec negotiation + incremental re-seed
 // ---------------------------------------------------------------------------
 
-// Committed store contents in a canonical order, for byte-identical
-// store comparisons across replicas.
+// Committed store contents in key order, for byte-identical store
+// comparisons across replicas.
 std::vector<std::pair<RecordKey, int64_t>> SortedStore(
     datasource::DataSourceNode& node) {
-  auto records = node.engine().CommittedRecords();
-  std::sort(records.begin(), records.end(),
-            [](const std::pair<RecordKey, int64_t>& a,
-               const std::pair<RecordKey, int64_t>& b) {
-              if (a.first.table != b.first.table) {
-                return a.first.table < b.first.table;
-              }
-              return a.first.key < b.first.key;
-            });
-  return records;
+  return node.engine().CommittedRange(RecordKey{0, 0}, std::nullopt);
 }
 
 TEST(ReplicationTest, MixedVersionFollowersNegotiateRawShipping) {
