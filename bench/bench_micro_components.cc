@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
-// manager, hotspot footprint (AVL+LRU), geo-scheduler planning, event
-// loop, zipfian sampling, and the key-ordered record store (point ops,
+// manager, hotspot footprint (ordered index + LRU), geo-scheduler
+// planning, event loop, zipfian sampling, and the key-ordered record store (point ops,
 // bulk load, committed range reads). These quantify the DM-side overheads the
 // paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
 // transaction; the per-call costs here are sub-microsecond).

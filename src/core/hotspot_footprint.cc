@@ -8,190 +8,45 @@
 namespace geotp {
 namespace core {
 
-struct HotspotFootprint::Node {
-  RecordKey key;
-  RecordStats stats;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  int height = 1;
-  // Intrusive LRU links.
-  Node* lru_prev = nullptr;
-  Node* lru_next = nullptr;
-};
-
 HotspotFootprint::HotspotFootprint(FootprintConfig config)
     : config_(config) {
   GEOTP_CHECK(config_.capacity > 0, "capacity must be positive");
-}
-
-HotspotFootprint::~HotspotFootprint() { FreeTree(root_); }
-
-void HotspotFootprint::FreeTree(Node* node) {
-  if (node == nullptr) return;
-  FreeTree(node->left);
-  FreeTree(node->right);
-  delete node;
-}
-
-// ---------------------------------------------------------------------------
-// AVL primitives
-// ---------------------------------------------------------------------------
-
-int HotspotFootprint::HeightOf(Node* node) {
-  return node == nullptr ? 0 : node->height;
-}
-
-void HotspotFootprint::UpdateHeight(Node* node) {
-  node->height = 1 + std::max(HeightOf(node->left), HeightOf(node->right));
-}
-
-HotspotFootprint::Node* HotspotFootprint::RotateLeft(Node* node) {
-  Node* pivot = node->right;
-  node->right = pivot->left;
-  pivot->left = node;
-  UpdateHeight(node);
-  UpdateHeight(pivot);
-  return pivot;
-}
-
-HotspotFootprint::Node* HotspotFootprint::RotateRight(Node* node) {
-  Node* pivot = node->left;
-  node->left = pivot->right;
-  pivot->right = node;
-  UpdateHeight(node);
-  UpdateHeight(pivot);
-  return pivot;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Rebalance(Node* node) {
-  UpdateHeight(node);
-  const int balance = HeightOf(node->left) - HeightOf(node->right);
-  if (balance > 1) {
-    if (HeightOf(node->left->left) < HeightOf(node->left->right)) {
-      node->left = RotateLeft(node->left);
-    }
-    return RotateRight(node);
-  }
-  if (balance < -1) {
-    if (HeightOf(node->right->right) < HeightOf(node->right->left)) {
-      node->right = RotateRight(node->right);
-    }
-    return RotateLeft(node);
-  }
-  return node;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Insert(Node* node,
-                                                 const RecordKey& key,
-                                                 Node** out) {
-  if (node == nullptr) {
-    Node* fresh = new Node();
-    fresh->key = key;
-    fresh->stats.w_lat = config_.initial_w_lat;
-    *out = fresh;
-    return fresh;
-  }
-  if (key < node->key) {
-    node->left = Insert(node->left, key, out);
-  } else if (node->key < key) {
-    node->right = Insert(node->right, key, out);
-  } else {
-    *out = node;
-    return node;
-  }
-  return Rebalance(node);
-}
-
-HotspotFootprint::Node* HotspotFootprint::MinNode(Node* node) {
-  while (node->left != nullptr) node = node->left;
-  return node;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Remove(Node* node,
-                                                 const RecordKey& key) {
-  if (node == nullptr) return nullptr;
-  if (key < node->key) {
-    node->left = Remove(node->left, key);
-  } else if (node->key < key) {
-    node->right = Remove(node->right, key);
-  } else {
-    if (node->left == nullptr || node->right == nullptr) {
-      Node* child = node->left != nullptr ? node->left : node->right;
-      delete node;
-      node = child;
-    } else {
-      // Two children: splice the in-order successor's payload in, then
-      // remove the successor node. LRU links must follow the payload.
-      Node* successor = MinNode(node->right);
-      node->key = successor->key;
-      node->stats = successor->stats;
-      // Re-point the LRU list entry of `successor` at `node`.
-      LruUnlink(node);
-      if (successor->lru_prev != nullptr) {
-        successor->lru_prev->lru_next = node;
-      } else if (lru_head_ == successor) {
-        lru_head_ = node;
-      }
-      if (successor->lru_next != nullptr) {
-        successor->lru_next->lru_prev = node;
-      } else if (lru_tail_ == successor) {
-        lru_tail_ = node;
-      }
-      node->lru_prev = successor->lru_prev;
-      node->lru_next = successor->lru_next;
-      // Detach successor from LRU so the recursive Remove's unlink of it
-      // (via delete path) cannot corrupt the list.
-      successor->lru_prev = successor->lru_next = nullptr;
-      // Mark: the successor node itself is deleted below; its LRU entry
-      // was transplanted.
-      node->right = Remove(node->right, node->key);
-    }
-  }
-  if (node == nullptr) return nullptr;
-  return Rebalance(node);
 }
 
 // ---------------------------------------------------------------------------
 // LRU primitives
 // ---------------------------------------------------------------------------
 
-void HotspotFootprint::LruPushFront(Node* node) {
-  node->lru_prev = nullptr;
-  node->lru_next = lru_head_;
-  if (lru_head_ != nullptr) lru_head_->lru_prev = node;
-  lru_head_ = node;
-  if (lru_tail_ == nullptr) lru_tail_ = node;
+void HotspotFootprint::LruPushFront(uint32_t slot) {
+  slab_[slot].lru_prev = kNil;
+  slab_[slot].lru_next = lru_head_;
+  if (lru_head_ != kNil) slab_[lru_head_].lru_prev = slot;
+  lru_head_ = slot;
+  if (lru_tail_ == kNil) lru_tail_ = slot;
 }
 
-void HotspotFootprint::LruUnlink(Node* node) {
-  if (node->lru_prev != nullptr) {
-    node->lru_prev->lru_next = node->lru_next;
-  } else if (lru_head_ == node) {
-    lru_head_ = node->lru_next;
-  }
-  if (node->lru_next != nullptr) {
-    node->lru_next->lru_prev = node->lru_prev;
-  } else if (lru_tail_ == node) {
-    lru_tail_ = node->lru_prev;
-  }
-  node->lru_prev = node->lru_next = nullptr;
+void HotspotFootprint::LruUnlink(uint32_t slot) {
+  const uint32_t prev = slab_[slot].lru_prev;
+  const uint32_t next = slab_[slot].lru_next;
+  (prev != kNil ? slab_[prev].lru_next : lru_head_) = next;
+  (next != kNil ? slab_[next].lru_prev : lru_tail_) = prev;
 }
 
 void HotspotFootprint::EvictIfNeeded() {
-  while (size_ > config_.capacity && lru_tail_ != nullptr) {
+  while (index_.size() > config_.capacity && lru_tail_ != kNil) {
     // Do not evict records with transactions in flight (their a_cnt would
     // be lost and Eq. 9 would undercount the queue), nor the LRU head —
     // it is the record being touched right now.
-    Node* victim = lru_tail_;
-    while (victim != nullptr &&
-           (victim->stats.a_cnt > 0 || victim == lru_head_)) {
-      victim = victim->lru_prev;
+    uint32_t victim = lru_tail_;
+    while (victim != kNil &&
+           (slab_[victim].stats.a_cnt > 0 || victim == lru_head_)) {
+      victim = slab_[victim].lru_prev;
     }
-    if (victim == nullptr) return;  // everything busy; allow soft overflow
-    const RecordKey key = victim->key;
+    if (victim == kNil) return;  // everything busy; allow soft overflow
     LruUnlink(victim);
-    root_ = Remove(root_, key);
-    --size_;
+    index_.Erase(slab_[victim].key);
+    slab_[victim].lru_next = free_head_;
+    free_head_ = victim;
     ++evictions_;
   }
 }
@@ -200,50 +55,37 @@ void HotspotFootprint::EvictIfNeeded() {
 // Public API
 // ---------------------------------------------------------------------------
 
-HotspotFootprint::Node* HotspotFootprint::FindNode(
-    const RecordKey& key) const {
-  Node* node = root_;
-  while (node != nullptr) {
-    if (key < node->key) {
-      node = node->left;
-    } else if (node->key < key) {
-      node = node->right;
-    } else {
-      return node;
-    }
+uint32_t HotspotFootprint::Touch(const RecordKey& key) {
+  bool inserted = false;
+  uint32_t& indexed = index_.Slot(key, &inserted);
+  if (!inserted) {
+    LruUnlink(indexed);
+    LruPushFront(indexed);
+    return indexed;
   }
-  return nullptr;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Touch(const RecordKey& key) {
-  Node* node = nullptr;
-  root_ = Insert(root_, key, &node);
-  if (node->lru_prev == nullptr && node->lru_next == nullptr &&
-      lru_head_ != node) {
-    // Fresh node (not yet in the LRU list).
-    ++size_;
-    LruPushFront(node);
-    if (size_ > config_.capacity) {
-      EvictIfNeeded();
-      // The eviction's AVL removal splices payloads across nodes (the
-      // two-children delete transplants the in-order successor), so the
-      // pointer captured above may now name a DIFFERENT record — or freed
-      // memory. Re-resolve by key; the LRU head itself is never evicted.
-      node = FindNode(key);
-      GEOTP_CHECK(node != nullptr, "touched record evicted under us");
-    }
+  uint32_t slot = free_head_;
+  if (slot != kNil) {
+    free_head_ = slab_[slot].lru_next;
   } else {
-    LruUnlink(node);
-    LruPushFront(node);
+    // One block for the configured capacity, plus the record inserted just
+    // before an eviction: growing by doubling would copy the slab and leave
+    // each old block behind as a heap hole.
+    if (slab_.empty()) slab_.reserve(config_.capacity + 1);
+    slot = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
   }
-  return node;
+  indexed = slot;
+  slab_[slot].key = key;
+  slab_[slot].stats = RecordStats{config_.initial_w_lat};
+  LruPushFront(slot);
+  // Slots never move, so `slot` still names this record afterwards: the
+  // head is never evicted.
+  EvictIfNeeded();
+  return slot;
 }
 
 void HotspotFootprint::OnDispatch(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) {
-    Node* node = Touch(key);
-    node->stats.a_cnt++;
-  }
+  for (const RecordKey& key : keys) slab_[Touch(key)].stats.a_cnt++;
 }
 
 void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
@@ -252,14 +94,13 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
   // Eq. 4 weights: w_r = w_lat_r / sum of w_lat over the accessed records.
   double w_sum = 0.0;
   for (const RecordKey& key : keys) {
-    Node* node = FindNode(key);
-    w_sum += node != nullptr ? node->stats.w_lat : config_.initial_w_lat;
+    const RecordStats* stats = Lookup(key);
+    w_sum += stats != nullptr ? stats->w_lat : config_.initial_w_lat;
   }
   if (w_sum <= 0.0) w_sum = 1.0;
 
   for (const RecordKey& key : keys) {
-    Node* node = Touch(key);
-    RecordStats& stats = node->stats;
+    RecordStats& stats = slab_[Touch(key)].stats;
     if (committed) {
       const double weight = stats.w_lat > 0.0 ? stats.w_lat / w_sum
                                               : 1.0 / keys.size();
@@ -276,8 +117,10 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
 
 void HotspotFootprint::OnRelease(const std::vector<RecordKey>& keys) {
   for (const RecordKey& key : keys) {
-    Node* node = FindNode(key);
-    if (node != nullptr && node->stats.a_cnt > 0) node->stats.a_cnt--;
+    const uint32_t* slot = index_.Find(key);
+    if (slot != nullptr && slab_[*slot].stats.a_cnt > 0) {
+      slab_[*slot].stats.a_cnt--;
+    }
   }
 }
 
@@ -285,8 +128,8 @@ Micros HotspotFootprint::ForecastLel(
     const std::vector<RecordKey>& keys) const {
   double total = 0.0;
   for (const RecordKey& key : keys) {
-    const Node* node = FindNode(key);
-    if (node != nullptr) total += node->stats.w_lat;
+    const RecordStats* stats = Lookup(key);
+    if (stats != nullptr) total += stats->w_lat;
   }
   return static_cast<Micros>(total);
 }
@@ -295,43 +138,27 @@ double HotspotFootprint::AbortProbability(
     const std::vector<RecordKey>& keys) const {
   double success = 1.0;
   for (const RecordKey& key : keys) {
-    const Node* node = FindNode(key);
-    if (node == nullptr) continue;
-    const RecordStats& stats = node->stats;
+    const RecordStats* stats = Lookup(key);
+    if (stats == nullptr) continue;
     const auto queue_len =
-        static_cast<double>(std::max<int64_t>(stats.a_cnt - 1, 0));
+        static_cast<double>(std::max<int64_t>(stats->a_cnt - 1, 0));
     if (queue_len <= 0.0) continue;
-    success *= std::pow(stats.SuccessRatio(), queue_len);
+    success *= std::pow(stats->SuccessRatio(), queue_len);
   }
   return 1.0 - success;
 }
 
 const RecordStats* HotspotFootprint::Lookup(const RecordKey& key) const {
-  const Node* node = FindNode(key);
-  return node == nullptr ? nullptr : &node->stats;
+  const uint32_t* slot = index_.Find(key);
+  return slot == nullptr ? nullptr : &slab_[*slot].stats;
 }
 
 std::vector<std::pair<RecordKey, RecordStats>> HotspotFootprint::Range(
     const RecordKey& lo, const RecordKey& hi) const {
   std::vector<std::pair<RecordKey, RecordStats>> out;
-  // Iterative in-order traversal pruned to [lo, hi].
-  std::vector<Node*> stack;
-  Node* node = root_;
-  while (node != nullptr || !stack.empty()) {
-    while (node != nullptr) {
-      if (node->key < lo) {
-        node = node->right;  // entire left subtree below range
-      } else {
-        stack.push_back(node);
-        node = node->left;
-      }
-    }
-    if (stack.empty()) break;
-    node = stack.back();
-    stack.pop_back();
-    if (hi < node->key) break;
-    out.emplace_back(node->key, node->stats);
-    node = node->right;
+  for (auto it = index_.LowerBound(lo);
+       it != index_.end() && !(hi < it->first); ++it) {
+    out.emplace_back(it->first, slab_[it->second].stats);
   }
   return out;
 }
@@ -356,33 +183,35 @@ HotspotFootprint::HeatHistogram HotspotFootprint::Histogram(
 }
 
 size_t HotspotFootprint::ApproxBytes() const {
-  return size_ * (sizeof(Node) + 16);
+  return index_.ApproxBytes() + slab_.capacity() * sizeof(SlabEntry);
 }
 
 bool HotspotFootprint::CheckInvariants() const {
-  // Recursive lambda validating order and balance, returning height or -1.
-  struct Checker {
-    static int Check(Node* node, const RecordKey* lo, const RecordKey* hi) {
-      if (node == nullptr) return 0;
-      if (lo != nullptr && !(*lo < node->key)) return -1;
-      if (hi != nullptr && !(node->key < *hi)) return -1;
-      const int lh = Check(node->left, lo, &node->key);
-      if (lh < 0) return -1;
-      const int rh = Check(node->right, &node->key, hi);
-      if (rh < 0) return -1;
-      if (std::abs(lh - rh) > 1) return -1;
-      if (node->height != 1 + std::max(lh, rh)) return -1;
-      return 1 + std::max(lh, rh);
-    }
-  };
-  if (Checker::Check(root_, nullptr, nullptr) < 0) return false;
-  // LRU list size must match the tree size.
-  size_t lru_count = 0;
-  for (Node* node = lru_head_; node != nullptr; node = node->lru_next) {
-    ++lru_count;
-    if (lru_count > size_ + 1) return false;
+  // Every indexed key names a slot that holds that key, in key order.
+  const RecordKey* previous = nullptr;
+  for (const auto& [key, slot] : index_) {
+    if (previous != nullptr && !(*previous < key)) return false;
+    if (slot >= slab_.size() || !(slab_[slot].key == key)) return false;
+    previous = &key;
   }
-  return lru_count == size_;
+  // The LRU list links exactly the indexed slots, in both directions.
+  size_t lru_count = 0;
+  uint32_t prev = kNil;
+  for (uint32_t slot = lru_head_; slot != kNil; slot = slab_[slot].lru_next) {
+    if (++lru_count > index_.size() || slab_[slot].lru_prev != prev) {
+      return false;
+    }
+    const uint32_t* indexed = index_.Find(slab_[slot].key);
+    if (indexed == nullptr || *indexed != slot) return false;
+    prev = slot;
+  }
+  if (lru_count != index_.size() || lru_tail_ != prev) return false;
+  // Every other slot is on the free list.
+  size_t free_count = 0;
+  for (uint32_t slot = free_head_; slot != kNil; slot = slab_[slot].lru_next) {
+    if (++free_count > slab_.size()) return false;
+  }
+  return lru_count + free_count == slab_.size();
 }
 
 }  // namespace core

@@ -7,18 +7,25 @@
 //   c_cnt_r  — committed transactions that accessed r
 //   a_cnt_r  — transactions currently accessing r
 //
-// The records are organized in an AVL tree (point and range access in
-// O(log n)) with an intrusive LRU list evicting cold entries, exactly as
-// the paper describes. w_lat updates follow Eq. 4: the measured local
-// execution latency LEL(Tij) of a subtransaction is split across the
-// records it touched proportionally to their current w_lat, then folded
-// in with coefficient alpha.
+// The paper keeps these records in an AVL tree with LRU eviction. Here
+// the ordered index is the repo's one ordered map, common/leaf_map.h
+// (sorted leaves under a first-key index), mapping each key to a slot in
+// a slab of stats. A lookup is two binary searches, one over the leaves'
+// first keys and one inside a leaf, and a range scan walks the leaves in
+// key order, so point and range access stay O(log n) as §IV-C requires.
+// The LRU is an index list threaded through the slab: touching a tracked
+// record moves no structure, and evicting one frees its slot for reuse.
+// w_lat updates follow Eq. 4: the measured local execution latency
+// LEL(Tij) of a subtransaction is split across the records it touched
+// proportionally to their current w_lat, then folded in with coefficient
+// alpha.
 #ifndef GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 #define GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "common/leaf_map.h"
 #include "common/types.h"
 
 namespace geotp {
@@ -52,7 +59,6 @@ struct RecordStats {
 class HotspotFootprint {
  public:
   explicit HotspotFootprint(FootprintConfig config = FootprintConfig());
-  ~HotspotFootprint();
 
   HotspotFootprint(const HotspotFootprint&) = delete;
   HotspotFootprint& operator=(const HotspotFootprint&) = delete;
@@ -80,11 +86,12 @@ class HotspotFootprint {
   /// `keys`: 1 - prod (c/t)^max(a-1, 0).
   double AbortProbability(const std::vector<RecordKey>& keys) const;
 
-  /// Point lookup (nullptr if not tracked). Does not touch LRU order.
+  /// Point lookup (nullptr if not tracked). Does not touch LRU order. The
+  /// pointer is valid until the next record is inserted.
   const RecordStats* Lookup(const RecordKey& key) const;
 
-  /// Ordered range scan [lo, hi] — the paper stores hot records in an AVL
-  /// tree precisely to support predicate (range) estimation in O(log n).
+  /// Ordered range scan [lo, hi] — the paper keeps hot records ordered
+  /// precisely to support predicate (range) estimation in O(log n).
   std::vector<std::pair<RecordKey, RecordStats>> Range(
       const RecordKey& lo, const RecordKey& hi) const;
 
@@ -104,43 +111,41 @@ class HotspotFootprint {
   HeatHistogram Histogram(const RecordKey& lo, const RecordKey& hi,
                           size_t buckets) const;
 
-  size_t size() const { return size_; }
+  size_t size() const { return index_.size(); }
   uint64_t evictions() const { return evictions_; }
 
-  /// Approximate resident bytes (memory proxy for Fig. 6b).
+  /// Bytes the layout reserves: the index's leaves plus the slab (memory
+  /// proxy for Fig. 6b).
   size_t ApproxBytes() const;
 
-  /// Validates AVL balance and BST order; test hook.
+  /// Validates that the index, the slab and the LRU list agree; test hook.
   bool CheckInvariants() const;
 
  private:
-  struct Node;
+  static constexpr uint32_t kNil = UINT32_MAX;
 
-  Node* FindNode(const RecordKey& key) const;
-  /// Finds or inserts (possibly evicting); returns the node.
-  Node* Touch(const RecordKey& key);
+  /// One tracked record. Free slots chain through `lru_next`.
+  struct SlabEntry {
+    RecordKey key;
+    RecordStats stats;
+    uint32_t lru_prev = kNil;
+    uint32_t lru_next = kNil;
+  };
 
-  // AVL primitives.
-  static int HeightOf(Node* node);
-  static void UpdateHeight(Node* node);
-  static Node* RotateLeft(Node* node);
-  static Node* RotateRight(Node* node);
-  static Node* Rebalance(Node* node);
-  Node* Insert(Node* node, const RecordKey& key, Node** out);
-  Node* Remove(Node* node, const RecordKey& key);
-  static Node* MinNode(Node* node);
-  void FreeTree(Node* node);
+  /// Finds or inserts (possibly evicting another record); returns the slot.
+  uint32_t Touch(const RecordKey& key);
 
-  // LRU primitives (intrusive list; head = most recent).
-  void LruPushFront(Node* node);
-  void LruUnlink(Node* node);
+  // LRU primitives (index list over the slab; head = most recent).
+  void LruPushFront(uint32_t slot);
+  void LruUnlink(uint32_t slot);
   void EvictIfNeeded();
 
   FootprintConfig config_;
-  Node* root_ = nullptr;
-  Node* lru_head_ = nullptr;
-  Node* lru_tail_ = nullptr;
-  size_t size_ = 0;
+  LeafMap<uint32_t> index_;  ///< key -> slot in slab_
+  std::vector<SlabEntry> slab_;
+  uint32_t free_head_ = kNil;
+  uint32_t lru_head_ = kNil;
+  uint32_t lru_tail_ = kNil;
   uint64_t evictions_ = 0;
 };
 

@@ -1,9 +1,17 @@
-// Tests for the hotspot footprint: AVL + LRU structure, Eq. 4 w_lat
-// updates, Eq. 5 forecasts and Eq. 9 abort probability, plus randomized
-// structural property tests.
+// Tests for the hotspot footprint: ordered index + LRU structure, Eq. 4
+// w_lat updates, Eq. 5 forecasts and Eq. 9 abort probability, randomized
+// structural property tests, and a seeded replay against a std::map +
+// std::list reference model of the same LRU eviction rule.
 #include "core/hotspot_footprint.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <list>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -178,7 +186,7 @@ TEST(FootprintTest, RangeAcrossTables) {
   EXPECT_EQ(range[0].first.table, 1u);
 }
 
-TEST(FootprintPropertyTest, RandomTrafficKeepsAvlInvariants) {
+TEST(FootprintPropertyTest, RandomTrafficKeepsInvariants) {
   Rng rng(0xABCD);
   FootprintConfig config;
   config.capacity = 64;
@@ -214,10 +222,259 @@ TEST(FootprintPropertyTest, HeavyEvictionChurn) {
     const uint64_t k = rng.NextU64(10000);
     fp.OnDispatch(Keys({k}));
     fp.OnComplete(Keys({k}), 100, true);
-    if (step % 500 == 0) ASSERT_TRUE(fp.CheckInvariants());
+    if (step % 500 == 0) {
+      ASSERT_TRUE(fp.CheckInvariants());
+    }
   }
   EXPECT_LE(fp.size(), 8u);
   EXPECT_GT(fp.evictions(), 10000u);
+}
+
+/// The footprint's semantics restated on standard containers: a std::map
+/// for the ordered index and a std::list for the LRU (front = most recent).
+/// Eviction walks from the LRU tail toward the head, skipping records with
+/// a_cnt > 0 and the head itself; when every candidate is skipped the
+/// footprint overflows its capacity instead.
+class ReferenceFootprint {
+ public:
+  explicit ReferenceFootprint(FootprintConfig config) : config_(config) {}
+
+  void OnDispatch(const std::vector<RecordKey>& keys) {
+    for (const RecordKey& key : keys) Touch(key).a_cnt++;
+  }
+
+  void OnComplete(const std::vector<RecordKey>& keys, Micros measured_lel,
+                  bool committed) {
+    if (keys.empty()) return;
+    double w_sum = 0.0;
+    for (const RecordKey& key : keys) {
+      const RecordStats* stats = Lookup(key);
+      w_sum += stats != nullptr ? stats->w_lat : config_.initial_w_lat;
+    }
+    if (w_sum <= 0.0) w_sum = 1.0;
+    for (const RecordKey& key : keys) {
+      RecordStats& stats = Touch(key);
+      if (committed) {
+        const double weight = stats.w_lat > 0.0 ? stats.w_lat / w_sum
+                                                : 1.0 / keys.size();
+        const double contribution =
+            static_cast<double>(measured_lel) * weight;
+        stats.w_lat = config_.alpha * stats.w_lat +
+                      (1.0 - config_.alpha) * contribution;
+      }
+      stats.t_cnt++;
+      if (committed) stats.c_cnt++;
+      if (stats.a_cnt > 0) stats.a_cnt--;
+    }
+  }
+
+  void OnRelease(const std::vector<RecordKey>& keys) {
+    for (const RecordKey& key : keys) {
+      auto it = records_.find(key);
+      if (it != records_.end() && it->second.stats.a_cnt > 0) {
+        it->second.stats.a_cnt--;
+      }
+    }
+  }
+
+  const RecordStats* Lookup(const RecordKey& key) const {
+    auto it = records_.find(key);
+    return it == records_.end() ? nullptr : &it->second.stats;
+  }
+
+  Micros ForecastLel(const std::vector<RecordKey>& keys) const {
+    double total = 0.0;
+    for (const RecordKey& key : keys) {
+      if (const RecordStats* stats = Lookup(key)) total += stats->w_lat;
+    }
+    return static_cast<Micros>(total);
+  }
+
+  double AbortProbability(const std::vector<RecordKey>& keys) const {
+    double success = 1.0;
+    for (const RecordKey& key : keys) {
+      const RecordStats* stats = Lookup(key);
+      if (stats == nullptr || stats->a_cnt <= 1) continue;
+      success *= std::pow(stats->SuccessRatio(),
+                          static_cast<double>(stats->a_cnt - 1));
+    }
+    return 1.0 - success;
+  }
+
+  std::vector<std::pair<RecordKey, RecordStats>> Range(
+      const RecordKey& lo, const RecordKey& hi) const {
+    std::vector<std::pair<RecordKey, RecordStats>> out;
+    for (auto it = records_.lower_bound(lo);
+         it != records_.end() && !(hi < it->first); ++it) {
+      out.emplace_back(it->first, it->second.stats);
+    }
+    return out;
+  }
+
+  size_t size() const { return records_.size(); }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    RecordStats stats;
+    std::list<RecordKey>::iterator lru;
+  };
+
+  RecordStats& Touch(const RecordKey& key) {
+    auto it = records_.find(key);
+    if (it != records_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru);
+      return it->second.stats;
+    }
+    lru_.push_front(key);
+    Entry& entry = records_[key];
+    entry.stats.w_lat = config_.initial_w_lat;
+    entry.lru = lru_.begin();
+    while (records_.size() > config_.capacity) {
+      auto victim = std::prev(lru_.end());
+      while (victim != lru_.begin() &&
+             records_.at(*victim).stats.a_cnt > 0) {
+        --victim;
+      }
+      if (victim == lru_.begin()) break;  // soft overflow
+      records_.erase(*victim);
+      lru_.erase(victim);
+      ++evictions_;
+    }
+    return entry.stats;
+  }
+
+  FootprintConfig config_;
+  std::map<RecordKey, Entry> records_;
+  std::list<RecordKey> lru_;
+  uint64_t evictions_ = 0;
+};
+
+void ExpectSameStats(const RecordStats& got, const RecordStats& want,
+                     const RecordKey& key) {
+  // Same operations in the same order: the doubles match exactly.
+  EXPECT_EQ(got.w_lat, want.w_lat) << key.ToString();
+  EXPECT_EQ(got.t_cnt, want.t_cnt) << key.ToString();
+  EXPECT_EQ(got.c_cnt, want.c_cnt) << key.ToString();
+  EXPECT_EQ(got.a_cnt, want.a_cnt) << key.ToString();
+}
+
+void ExpectMatchesReference(const HotspotFootprint& fp,
+                            const ReferenceFootprint& ref, Rng& rng,
+                            uint64_t key_space) {
+  ASSERT_TRUE(fp.CheckInvariants());
+  ASSERT_EQ(fp.size(), ref.size());
+  ASSERT_EQ(fp.evictions(), ref.evictions());
+  const RecordKey first{0, 0};
+  const RecordKey last{std::numeric_limits<uint32_t>::max(),
+                       std::numeric_limits<uint64_t>::max()};
+  const auto got = fp.Range(first, last);
+  const auto want = ref.Range(first, last);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first) << "position " << i;
+    ExpectSameStats(got[i].second, want[i].second, got[i].first);
+  }
+  for (int i = 0; i < 50; ++i) {
+    const RecordKey key{static_cast<uint32_t>(1 + rng.NextU64(2)),
+                        rng.NextU64(key_space)};
+    const RecordStats* got_stats = fp.Lookup(key);
+    const RecordStats* want_stats = ref.Lookup(key);
+    ASSERT_EQ(got_stats == nullptr, want_stats == nullptr) << key.ToString();
+    if (got_stats != nullptr) ExpectSameStats(*got_stats, *want_stats, key);
+  }
+  // One histogram over a random sub-range of table 1.
+  const uint64_t lo = rng.NextU64(key_space);
+  const uint64_t hi = lo + rng.NextU64(key_space - lo);
+  const size_t buckets = 1 + rng.NextU64(8);
+  const auto hist = fp.Histogram(RecordKey{1, lo}, RecordKey{1, hi}, buckets);
+  const auto records = ref.Range(RecordKey{1, lo}, RecordKey{1, hi});
+  ASSERT_EQ(hist.empty(), records.empty());
+  if (records.empty()) return;
+  EXPECT_EQ(hist.extent_lo, records.front().first.key);
+  EXPECT_EQ(hist.extent_hi, records.back().first.key);
+  std::vector<uint64_t> want_buckets(buckets, 0);
+  uint64_t total = 0;
+  for (const auto& [key, stats] : records) {
+    want_buckets[std::min<uint64_t>((key.key - hist.extent_lo) /
+                                        hist.bucket_width,
+                                    buckets - 1)] += stats.t_cnt;
+    total += stats.t_cnt;
+  }
+  EXPECT_EQ(hist.buckets, want_buckets);
+  EXPECT_EQ(hist.total, total);
+}
+
+// Seeded traces of dispatches, completions (committed or not, several keys
+// at once) and releases over two tables, at capacities from "almost every
+// touch evicts" to "the index spans many leaves".
+TEST(FootprintPropertyTest, MatchesStdMapLruReference) {
+  struct Shape {
+    size_t capacity;
+    uint64_t key_space;
+  };
+  for (const Shape shape : {Shape{8, 100}, Shape{64, 1000},
+                            Shape{600, 4000}}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(shape.capacity) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 7919 + shape.capacity);
+      FootprintConfig config;
+      config.capacity = shape.capacity;
+      HotspotFootprint fp(config);
+      ReferenceFootprint ref(config);
+      std::vector<std::vector<RecordKey>> outstanding;
+      size_t max_size = 0;
+      for (int step = 1; step <= 12000; ++step) {
+        const double action = rng.NextDouble();
+        // Every other phase lets the in-flight set grow past the capacity,
+        // so eviction has to skip busy records and overflow softly.
+        const bool filling = (step / 3000) % 2 == 1;
+        const double dispatch = filling ? 0.65 : 0.5;
+        const size_t max_outstanding =
+            filling ? shape.capacity : shape.capacity / 4;
+        if (action < dispatch && outstanding.size() <= max_outstanding) {
+          std::vector<RecordKey> keys;
+          const int n = static_cast<int>(rng.NextU64(5)) + 1;
+          for (int i = 0; i < n; ++i) {
+            keys.push_back(RecordKey{static_cast<uint32_t>(1 + rng.NextU64(2)),
+                                     rng.NextU64(shape.key_space)});
+          }
+          fp.OnDispatch(keys);
+          ref.OnDispatch(keys);
+          outstanding.push_back(std::move(keys));
+        } else if (!outstanding.empty()) {
+          const size_t idx = rng.NextU64(outstanding.size());
+          const std::vector<RecordKey> keys = std::move(outstanding[idx]);
+          outstanding.erase(outstanding.begin() + static_cast<long>(idx));
+          if (rng.NextDouble() < 0.8) {
+            const auto lel = static_cast<Micros>(rng.NextU64(20000));
+            const bool committed = rng.NextBool(0.7);
+            fp.OnComplete(keys, lel, committed);
+            ref.OnComplete(keys, lel, committed);
+          } else {
+            fp.OnRelease(keys);
+            ref.OnRelease(keys);
+          }
+        }
+        max_size = std::max(max_size, fp.size());
+        if (step % 250 == 0) {
+          ExpectMatchesReference(fp, ref, rng, shape.key_space);
+          if (::testing::Test::HasFailure()) return;
+          // Eq. 5 and Eq. 9 over the last dispatched key set.
+          if (!outstanding.empty()) {
+            EXPECT_EQ(fp.ForecastLel(outstanding.back()),
+                      ref.ForecastLel(outstanding.back()));
+            EXPECT_EQ(fp.AbortProbability(outstanding.back()),
+                      ref.AbortProbability(outstanding.back()));
+          }
+        }
+      }
+      // The trace reached both eviction outcomes.
+      EXPECT_GT(fp.evictions(), 0u);
+      EXPECT_GT(max_size, shape.capacity) << "no soft overflow";
+    }
+  }
 }
 
 TEST(FootprintTest, ApproxBytesGrowsWithSize) {

@@ -280,7 +280,9 @@ TEST(LockManagerPropertyTest, RandomTrafficKeepsInvariants) {
         (it->second == LockMode::kExclusive ? x_holders : s_holders)++;
       }
       ASSERT_LE(x_holders, 1) << "key " << k;
-      if (x_holders == 1) ASSERT_EQ(s_holders, 0) << "key " << k;
+      if (x_holders == 1) {
+        ASSERT_EQ(s_holders, 0) << "key " << k;
+      }
     }
   };
 

@@ -1,6 +1,7 @@
 // Property test for the key-ordered record store: seeded mixes of
-// ascending runs, random inserts and overwrites across two interleaved
-// tables, checked against a std::map reference after every batch.
+// ascending runs, random inserts, overwrites and erases across two
+// interleaved tables, checked against a std::map reference after every
+// batch.
 #include "storage/record_store.h"
 
 #include <gtest/gtest.h>
@@ -72,8 +73,11 @@ TEST(RecordStoreTest, SeededMixMatchesOrderedReference) {
       ref[key] = value;
     };
     uint64_t next_ascending[] = {0, 0};
-    for (int batch = 0; batch < 40; ++batch) {
-      const uint64_t kind = rng.NextU64(3);
+    const auto erase = [&](const RecordKey& key) {
+      EXPECT_EQ(store.Erase(key), ref.erase(key) == 1) << key.ToString();
+    };
+    for (int batch = 0; batch < 60; ++batch) {
+      const uint64_t kind = rng.NextU64(5);
       const size_t t = rng.NextU64(2);
       const uint32_t table = kTables[t];
       if (kind == 0) {
@@ -89,12 +93,31 @@ TEST(RecordStoreTest, SeededMixMatchesOrderedReference) {
           apply(RecordKey{kTables[rng.NextU64(2)], rng.NextU64(kKeySpace)},
                 rng.NextInt(-1000, 1000));
         }
-      } else if (!ref.empty()) {
+      } else if (kind == 2 && !ref.empty()) {
         // Overwrites of resident keys.
         for (int i = 0; i < 300; ++i) {
           auto it = ref.begin();
           std::advance(it, static_cast<long>(rng.NextU64(ref.size())));
           apply(it->first, rng.NextInt(-1000, 1000));
+        }
+      } else if (kind == 3) {
+        // Scattered erases, a third of them of absent keys.
+        for (int i = 0; i < 300 && !ref.empty(); ++i) {
+          auto it = ref.begin();
+          std::advance(it, static_cast<long>(rng.NextU64(ref.size())));
+          erase(rng.NextBool(0.33) ? RecordKey{it->first.table,
+                                               kKeySpace + rng.NextU64(10)}
+                                   : it->first);
+        }
+      } else if (!ref.empty()) {
+        // Erase a contiguous run: empties leaves outright and shrinks
+        // their neighbours below the merge threshold.
+        auto it = ref.begin();
+        std::advance(it, static_cast<long>(rng.NextU64(ref.size())));
+        for (uint64_t n = 1 + rng.NextU64(400); n > 0 && it != ref.end();
+             --n) {
+          const RecordKey key = (it++)->first;
+          erase(key);
         }
       }
       ExpectMatches(store, ref);
@@ -147,6 +170,68 @@ TEST(RecordStoreTest, InsertBeforeFirstKeyAndIntoFullLeaf) {
     ref[RecordKey{1, k}] = 2;
     ExpectMatches(store, ref);
   }
+}
+
+TEST(RecordStoreTest, EraseFirstKeysEmptyLeavesAndMerge) {
+  constexpr uint64_t kCap = RecordStore::kLeafCapacity;
+  RecordStore store;
+  Reference ref;
+  const auto erase = [&](uint64_t k) {
+    EXPECT_TRUE(store.Erase(RecordKey{1, k})) << k;
+    ref.erase(RecordKey{1, k});
+  };
+  // An ascending load of four full leaves: [0,128) [128,256) ...
+  for (uint64_t k = 0; k < 4 * kCap; ++k) {
+    store.Apply(RecordKey{1, k}, static_cast<int64_t>(k));
+    ref[RecordKey{1, k}] = static_cast<int64_t>(k);
+  }
+  const size_t full = store.ApproxBytes();
+  EXPECT_FALSE(store.Erase(RecordKey{1, 4 * kCap}));
+  EXPECT_FALSE(store.Erase(RecordKey{2, 0}));
+
+  // A leaf's first key: the next lookup below it must still land right.
+  erase(kCap);
+  ExpectMatches(store, ref);
+  ExpectLowerBound(store, ref, RecordKey{1, kCap});
+  ExpectLowerBound(store, ref, RecordKey{1, kCap - 1});
+
+  // Empty the second leaf entirely: LowerBound just past the removed leaf
+  // (and inside its old span) lands on the third leaf's first key.
+  for (uint64_t k = kCap + 1; k < 2 * kCap; ++k) erase(k);
+  ExpectMatches(store, ref);
+  EXPECT_LT(store.ApproxBytes(), full);
+  for (const uint64_t probe : {kCap, kCap + 7, 2 * kCap - 1, 2 * kCap}) {
+    ExpectLowerBound(store, ref, RecordKey{1, probe});
+  }
+  EXPECT_EQ(store.LowerBound(RecordKey{1, kCap})->first.key, 2 * kCap);
+
+  // Shrink the last leaf, then the one before it, to a quarter each: once
+  // both fit in half a leaf, the shrinking leaf absorbs its successor.
+  const size_t three_leaves = store.ApproxBytes();
+  for (uint64_t k = 3 * kCap; k < 3 * kCap + 3 * kCap / 4; ++k) erase(k);
+  ExpectMatches(store, ref);
+  EXPECT_EQ(store.ApproxBytes(), three_leaves);
+  for (uint64_t k = 2 * kCap; k < 2 * kCap + 3 * kCap / 4; ++k) erase(k);
+  ExpectMatches(store, ref);
+  EXPECT_LT(store.ApproxBytes(), three_leaves);
+  for (const uint64_t probe :
+       {2 * kCap, 3 * kCap - 1, 3 * kCap, 3 * kCap + 3 * kCap / 4}) {
+    ExpectLowerBound(store, ref, RecordKey{1, probe});
+  }
+
+  // Re-inserting into the erased spans keeps the order.
+  for (const uint64_t k : {kCap, kCap + 5, 2 * kCap + 1, 3 * kCap + 2}) {
+    store.Apply(RecordKey{1, k}, -1);
+    ref[RecordKey{1, k}] = -1;
+  }
+  ExpectMatches(store, ref);
+
+  // Erase everything: the store is empty again and reserves nothing.
+  while (!ref.empty()) erase(ref.begin()->first.key);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.begin() == store.end());
+  EXPECT_TRUE(store.LowerBound(RecordKey{0, 0}) == store.end());
+  EXPECT_EQ(store.ApproxBytes(), 0u);
 }
 
 }  // namespace
