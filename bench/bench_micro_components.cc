@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
 // manager, hotspot footprint (ordered index + LRU), geo-scheduler
-// planning, event loop, zipfian sampling, and the key-ordered record store (point ops,
-// bulk load, committed range reads). These quantify the DM-side overheads the
+// planning, event loop (schedule/run, lock-wait schedule/cancel), network
+// send/deliver, zipfian sampling, and the key-ordered record store (point
+// ops, bulk load, committed range reads). These quantify the DM-side overheads the
 // paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
 // transaction; the per-call costs here are sub-microsecond).
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <utility>
 
 #include "common/random.h"
 #include "core/geo_scheduler.h"
@@ -136,6 +140,47 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopScheduleRun);
+
+void BM_EventLoopScheduleCancel(benchmark::State& state) {
+  // The lock-wait pattern: arm a timeout, cancel it when the lock is
+  // granted, then schedule the row-cost event and run it.
+  sim::EventLoop loop;
+  uint64_t fired = 0;
+  for (auto _ : state) {
+    const sim::EventId timeout =
+        loop.Schedule(50000, [&fired]() { fired += 1000; });
+    loop.Cancel(timeout);
+    loop.Schedule(10, [&fired]() { ++fired; });
+    loop.RunUntil(loop.Now() + 10);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopScheduleCancel);
+
+void BM_NetworkSendDeliver(benchmark::State& state) {
+  // A burst of 64 messages over one WAN link, delivered in latency order.
+  sim::EventLoop loop;
+  sim::LatencyMatrix matrix(2);
+  matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(73.0));
+  sim::Network net(&loop, std::move(matrix));
+  uint64_t delivered = 0;
+  net.RegisterNode(1, [&delivered](std::unique_ptr<runtime::MessageBase>) {
+    ++delivered;
+  });
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      auto msg = std::make_unique<runtime::MessageBase>();
+      msg->from = 0;
+      msg->to = 1;
+      net.Send(std::move(msg));
+    }
+    loop.Run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_NetworkSendDeliver);
 
 void BM_BoundedZipfSample(benchmark::State& state) {
   Rng rng(4);

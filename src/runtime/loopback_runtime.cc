@@ -9,6 +9,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -62,7 +63,8 @@ TimerId ActorExecutor::ScheduleAt(Micros when, std::function<void()> fn) {
     if (stopping_) return kInvalidTimer;
     id = next_timer_++;
     live_[id] = true;
-    timers_.push(Timer{when, id, std::move(fn)});
+    timers_.push_back(Timer{when, id, std::move(fn)});
+    std::push_heap(timers_.begin(), timers_.end(), std::greater<Timer>{});
   }
   cv_.notify_one();
   return id;
@@ -93,9 +95,10 @@ void ActorExecutor::Run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     // Drop cancelled timers surfacing at the top of the heap.
-    while (!timers_.empty() && !live_[timers_.top().id]) {
-      live_.erase(timers_.top().id);
-      timers_.pop();
+    while (!timers_.empty() && !live_[timers_.front().id]) {
+      live_.erase(timers_.front().id);
+      std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>{});
+      timers_.pop_back();
     }
     if (!mailbox_.empty()) {
       MailboxItem item = std::move(mailbox_.front());
@@ -124,9 +127,10 @@ void ActorExecutor::Run() {
     if (stopping_) return;
     if (!timers_.empty()) {
       const Micros now = Now();
-      if (timers_.top().when <= now) {
-        Timer timer = timers_.top();
-        timers_.pop();
+      if (timers_.front().when <= now) {
+        std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>{});
+        Timer timer = std::move(timers_.back());
+        timers_.pop_back();
         live_.erase(timer.id);
         lock.unlock();
         obs::Profiler& profiler = obs::GlobalProfiler();
@@ -138,7 +142,7 @@ void ActorExecutor::Run() {
         continue;
       }
       cv_.wait_for(lock,
-                   std::chrono::microseconds(timers_.top().when - now));
+                   std::chrono::microseconds(timers_.front().when - now));
       continue;
     }
     cv_.wait(lock);

@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -96,7 +95,9 @@ class ActorExecutor : public ITimer {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<MailboxItem> mailbox_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
+  /// Min-heap (std::push_heap/pop_heap with std::greater): a vector, not a
+  /// priority_queue, so the due timer is moved out rather than copied.
+  std::vector<Timer> timers_;
   std::unordered_map<TimerId, bool> live_;  ///< id -> not cancelled
   TimerId next_timer_ = 1;
   bool stopping_ = false;

@@ -54,6 +54,11 @@ class IClock {
 /// the loopback runtime each actor gets its own executor whose callbacks
 /// run on that actor's thread — so actor state needs no locking in either
 /// backend.
+///
+/// Callbacks are `std::function` on purpose: every timer decorator
+/// (perfbench's TracingRuntime::Timer among them) overrides these
+/// signatures, so the backends move callbacks instead of copying them
+/// rather than changing the type (see src/runtime/README.md).
 class ITimer : public IClock {
  public:
   /// Schedules `fn` to run `delay` microseconds from now (>= 0).

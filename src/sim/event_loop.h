@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
+#include "runtime/message.h"
 #include "runtime/runtime.h"
 
 namespace geotp {
@@ -29,8 +29,22 @@ constexpr EventId kInvalidEvent = runtime::kInvalidTimer;
 /// Events scheduled for the same instant fire in scheduling order (FIFO),
 /// which keeps runs reproducible. Implements the runtime timer seam: in a
 /// simulated deployment every actor's ITimer is this one shared loop.
+///
+/// Each pending event lives in a slot of a slab; freed slots are reused.
+/// An EventId is `(generation << 32) | slot`, and a slot's generation is
+/// bumped whenever it is freed, so an id outlives neither its event nor a
+/// Clear(): it can never cancel a later event that reuses the slot.
 class EventLoop : public runtime::ITimer {
  public:
+  /// Receives the messages scheduled with ScheduleDelivery().
+  class Sink {
+   public:
+    virtual void Deliver(std::unique_ptr<runtime::MessageBase> msg) = 0;
+
+   protected:
+    ~Sink() = default;
+  };
+
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -43,6 +57,11 @@ class EventLoop : public runtime::ITimer {
 
   /// Schedules `fn` at an absolute virtual time (clamped to >= Now()).
   EventId ScheduleAt(Micros when, std::function<void()> fn) override;
+
+  /// Schedules `sink->Deliver(msg)` `delay` microseconds from now (>= 0).
+  /// The message is held in the event's slot, with no callback wrapper.
+  EventId ScheduleDelivery(Micros delay, Sink* sink,
+                           std::unique_ptr<runtime::MessageBase> msg);
 
   /// Cancels a pending event. Returns true if the event existed and had not
   /// fired yet. Cancelling an already-fired or unknown id is a no-op.
@@ -57,7 +76,7 @@ class EventLoop : public runtime::ITimer {
   /// Runs at most one event. Returns false if the queue is empty.
   bool Step();
 
-  bool Empty() const { return queue_.size() == cancelled_.size(); }
+  bool Empty() const { return live_ == 0; }
 
   /// Total events processed since construction (CPU-work proxy, Fig. 6a).
   uint64_t events_processed() const { return events_processed_; }
@@ -67,26 +86,50 @@ class EventLoop : public runtime::ITimer {
   void Clear();
 
  private:
-  struct Event {
+  /// A scheduled event: a callback, or a message for `sink`. A cancelled
+  /// slot keeps its payload until its heap entry surfaces.
+  struct Slot {
+    std::function<void()> fn;
+    Sink* sink = nullptr;
+    std::unique_ptr<runtime::MessageBase> msg;
+    uint32_t gen = 1;
+    bool live = false;
+  };
+  /// Heap entry; `seq` is unique, so (when, seq) totally orders events.
+  struct Entry {
     Micros when;
     uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
+    uint32_t slot;
   };
-  struct EventCmp {
-    bool operator()(const Event& a, const Event& b) const {
+  /// Min-heap order for std::push_heap / std::pop_heap.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
+  /// Fills a free slot with the payload and queues it at `when`.
+  EventId Push(Micros when, std::function<void()> fn, Sink* sink,
+               std::unique_ptr<runtime::MessageBase> msg);
+  /// Removes the earliest entry from the heap and returns it.
+  Entry PopEarliest();
+  /// Returns `slot` to the free list and bumps its generation. The caller
+  /// has moved the payload out first: destroying it in place could re-enter
+  /// Schedule and reallocate the slab under the slot reference.
+  void ReleaseSlot(uint32_t slot);
+  /// Releases `slot` and destroys its payload without running it.
+  void Discard(uint32_t slot);
+  /// Pops the earliest entry if it was cancelled. Returns true if it did.
+  bool DropCancelledTop();
+
   Micros now_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventCmp> queue_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_;  // scheduled, not yet fired/cancelled
+  size_t live_ = 0;  // scheduled, not yet fired, cancelled or cleared
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace sim

@@ -6,7 +6,6 @@
 #ifndef GEOTP_SIM_NETWORK_H_
 #define GEOTP_SIM_NETWORK_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,8 +26,9 @@ struct TrafficStats {
 };
 
 /// The simulated network implements the runtime transport seam: Send()
-/// samples the link latency and schedules delivery on the event loop.
-class Network : public runtime::ITransport {
+/// samples the link latency and hands the message to the event loop, which
+/// holds it until Deliver() runs at the arrival time.
+class Network : public runtime::ITransport, private EventLoop::Sink {
  public:
   using Handler = runtime::ITransport::Handler;
 
@@ -61,6 +61,10 @@ class Network : public runtime::ITransport {
   uint64_t total_messages() const { return total_messages_; }
 
  private:
+  /// Arrival at `msg->to`: dropped at the NIC if the node is partitioned
+  /// now, otherwise counted and handed to the node's handler.
+  void Deliver(std::unique_ptr<runtime::MessageBase> msg) override;
+
   EventLoop* loop_;
   LatencyMatrix matrix_;
   Rng rng_;

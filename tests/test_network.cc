@@ -16,6 +16,21 @@ struct TestMessage : MessageBase {
   int payload = 0;
 };
 
+/// Counts live instances, so a test can tell a dropped or cleared
+/// message was destroyed rather than leaked.
+struct CountedMessage : MessageBase {
+  explicit CountedMessage(int* live) : live(live) { ++*live; }
+  ~CountedMessage() override { --*live; }
+  int* live;
+};
+
+std::unique_ptr<CountedMessage> Counted(int* live) {
+  auto msg = std::make_unique<CountedMessage>(live);
+  msg->from = 0;
+  msg->to = 1;
+  return msg;
+}
+
 LatencyMatrix TwoNodeMatrix(double rtt_ms) {
   LatencyMatrix matrix(2);
   matrix.SetSymmetric(0, 1, LinkSpec::FromRttMs(rtt_ms));
@@ -159,6 +174,64 @@ TEST(NetworkTest, ProtocolMessagesRoundTripThroughBase) {
   net.Send(std::move(vote));
   loop.Run();
   EXPECT_EQ(seen, protocol::Vote::kPrepared);
+}
+
+TEST(NetworkTest, DeliveredMessageIsDestroyedAfterItsHandler) {
+  EventLoop loop;
+  Network net(&loop, TwoNodeMatrix(10.0));
+  int live = 0;
+  int seen_live = -1;
+  net.RegisterNode(1, [&](std::unique_ptr<MessageBase>) { seen_live = live; });
+  net.Send(Counted(&live));
+  EXPECT_EQ(live, 1);
+  loop.Run();
+  EXPECT_EQ(seen_live, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(NetworkTest, MessageToPartitionedNodeIsDroppedAndDestroyed) {
+  EventLoop loop;
+  Network net(&loop, TwoNodeMatrix(100.0));
+  int live = 0;
+  bool delivered = false;
+  net.RegisterNode(1,
+                   [&](std::unique_ptr<MessageBase>) { delivered = true; });
+  net.Send(Counted(&live));
+  loop.Schedule(MsToMicros(10.0), [&]() { net.Partition(1); });
+  loop.Run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(net.StatsFor(1).messages_received, 0u);
+}
+
+TEST(NetworkTest, MessageInFlightAtClearIsFreed) {
+  EventLoop loop;
+  Network net(&loop, TwoNodeMatrix(100.0));
+  int live = 0;
+  bool delivered = false;
+  net.RegisterNode(1,
+                   [&](std::unique_ptr<MessageBase>) { delivered = true; });
+  net.Send(Counted(&live));
+  net.Send(Counted(&live));
+  EXPECT_EQ(live, 2);
+  loop.Clear();
+  EXPECT_EQ(live, 0);
+  EXPECT_TRUE(loop.Empty());
+  loop.Run();
+  EXPECT_FALSE(delivered);
+}
+
+TEST(NetworkTest, MessageInFlightAtLoopDestructionIsFreed) {
+  int live = 0;
+  {
+    EventLoop loop;
+    Network net(&loop, TwoNodeMatrix(100.0));
+    net.RegisterNode(1, [](std::unique_ptr<MessageBase>) {});
+    for (int i = 0; i < 3; ++i) net.Send(Counted(&live));
+    loop.RunUntil(MsToMicros(1.0));
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace
