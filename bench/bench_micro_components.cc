@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
-// manager, hotspot footprint (ordered index + LRU), geo-scheduler
-// planning, event loop (schedule/run, lock-wait schedule/cancel), network
-// send/deliver, zipfian sampling, and the key-ordered record store (point
-// ops, bulk load, committed range reads). These quantify the DM-side overheads the
+// manager, engine operations (grant-apply-commit, park-cancel), hotspot
+// footprint (ordered index + LRU), geo-scheduler planning, event loop
+// (schedule/run, lock-wait schedule/cancel), network send/deliver, zipfian
+// sampling, and the key-ordered record store (point ops, bulk load,
+// committed range reads). These quantify the DM-side overheads the
 // paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
 // transaction; the per-call costs here are sub-microsecond).
 #include <benchmark/benchmark.h>
@@ -79,14 +80,69 @@ void BM_DeadlockCheckDeepChain(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlockCheckDeepChain)->Arg(8)->Arg(32);
 
+void BM_EngineExecuteOp(benchmark::State& state) {
+  // The TPC-C pattern at one source: a branch write-locks keys nobody
+  // holds (granted at once), applies its writes and commits.
+  storage::TransactionEngine engine;
+  uint64_t txn = 1;
+  uint64_t key = 0;
+  int64_t sink = 0;
+  for (auto _ : state) {
+    const Xid xid{txn++, 0};
+    (void)engine.Begin(xid);
+    for (int64_t i = 0; i < 5; ++i) {
+      storage::Operation op;
+      op.key = RecordKey{1, key};
+      op.is_write = true;
+      op.write_value = i;
+      key = (key + 1) % 10000;
+      engine.ExecuteOp(xid, op, [&sink](Status, int64_t value) {
+        sink += value;
+      });
+    }
+    (void)engine.Commit(xid, 0);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 5);
+}
+BENCHMARK(BM_EngineExecuteOp);
+
+void BM_EngineExecuteOpParkCancel(benchmark::State& state) {
+  // A branch's op parks behind a long-running holder, its lock-wait
+  // timeout cancels it, and the branch rolls back.
+  storage::TransactionEngine engine;
+  const Xid holder{1, 0};
+  const RecordKey hot{1, 7};
+  (void)engine.Begin(holder);
+  storage::Operation op;
+  op.key = hot;
+  op.is_write = true;
+  engine.ExecuteOp(holder, op, [](Status, int64_t) {});
+  uint64_t txn = 2;
+  int cancelled = 0;
+  for (auto _ : state) {
+    const Xid xid{txn++, 0};
+    (void)engine.Begin(xid);
+    engine.ExecuteOp(xid, op, [&cancelled](Status status, int64_t) {
+      cancelled += status.IsTimedOut() ? 1 : 0;
+    });
+    engine.CancelPendingOp(xid, Status::TimedOut("lock wait"));
+    (void)engine.Rollback(xid, 0);
+  }
+  benchmark::DoNotOptimize(cancelled);
+}
+BENCHMARK(BM_EngineExecuteOpParkCancel);
+
 void BM_FootprintDispatchComplete(benchmark::State& state) {
   core::HotspotFootprint fp;
   Rng rng(1);
-  std::vector<RecordKey> keys(5);
+  std::vector<core::ChargedKey> charged(5);
   for (auto _ : state) {
-    for (auto& key : keys) key = RecordKey{1, rng.NextU64(10000)};
-    fp.OnDispatch(keys);
-    fp.OnComplete(keys, 1000, true);
+    for (auto& record : charged) {
+      record.key = RecordKey{1, rng.NextU64(10000)};
+      record.slot = fp.OnDispatch(record.key);
+    }
+    fp.OnComplete(charged, 1000, true);
   }
   state.SetItemsProcessed(state.iterations() * 5);
 }
@@ -97,14 +153,20 @@ void BM_FootprintForecast(benchmark::State& state) {
   Rng rng(2);
   for (int i = 0; i < 50000; ++i) {
     RecordKey key{1, rng.NextU64(100000)};
-    fp.OnDispatch({key});
-    fp.OnComplete({key}, 500, true);
+    fp.OnComplete({{key, fp.OnDispatch(key)}}, 500, true);
   }
   std::vector<RecordKey> keys(5);
+  std::vector<const core::RecordStats*> stats;
   for (auto _ : state) {
     for (auto& key : keys) key = RecordKey{1, rng.NextU64(100000)};
-    benchmark::DoNotOptimize(fp.ForecastLel(keys));
-    benchmark::DoNotOptimize(fp.AbortProbability(keys));
+    // One lookup per key, shared by Eq. 5 and Eq. 9 (as the scheduler does).
+    stats.clear();
+    fp.Resolve(keys, &stats);
+    const core::RecordStats* const* first = stats.data();
+    benchmark::DoNotOptimize(
+        core::HotspotFootprint::ForecastLel(first, first + stats.size()));
+    benchmark::DoNotOptimize(core::HotspotFootprint::AbortProbability(
+        first, first + stats.size()));
   }
 }
 BENCHMARK(BM_FootprintForecast);

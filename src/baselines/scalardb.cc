@@ -134,10 +134,6 @@ void ScalarDbNode::PlanRound(TxnId id) {
       return;
     }
   }
-  if (config_.plus) {
-    for (const auto& input : inputs) footprint_->OnDispatch(input.keys);
-  }
-
   txn->outstanding = groups.size();
   txn->round_seq++;
   size_t plan_idx = 0;
@@ -156,6 +152,9 @@ void ScalarDbNode::PlanRound(TxnId id) {
       sop.write_value = op.value;  // deltas resolved at read-response time
       staged.ops.push_back(sop);
       staged.op_slots.push_back(slot);
+      if (config_.plus) {
+        staged.charged.push_back({op.key, footprint_->OnDispatch(op.key)});
+      }
     }
 
     const Micros postpone = decision.plans[plan_idx++].postpone;
@@ -269,9 +268,9 @@ void ScalarDbNode::OnPrepareResponse(const StorePrepareResponse& resp) {
   }
   if (config_.plus) {
     // Footprint feedback: prepare success stands in for commit success.
-    std::vector<RecordKey> keys;
-    for (const auto& op : staged.ops) keys.push_back(op.key);
-    footprint_->OnComplete(keys, /*measured_lel=*/0, resp.status.ok());
+    footprint_->OnComplete(staged.charged, /*measured_lel=*/0,
+                           resp.status.ok());
+    staged.charged.clear();
   }
   if (--txn->outstanding > 0) return;
 

@@ -63,6 +63,9 @@ class ScalarDbNode {
   struct Staged {
     std::vector<StagedOp> ops;          ///< per participant, version-filled
     std::vector<size_t> op_slots;       ///< positions in the client round
+    /// Plus only: each op's key with the footprint slot its dispatch
+    /// charged, settled when the prepare outcome arrives.
+    std::vector<core::ChargedKey> charged;
     bool read_outstanding = false;
     bool prepare_outstanding = false;
     bool prepared_ok = false;

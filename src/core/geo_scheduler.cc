@@ -32,19 +32,26 @@ ScheduleDecision GeoScheduler::ScheduleRound(
   ScheduleDecision decision;
   decision.plans.reserve(participants.size());
 
-  // Late transaction scheduling (Eq. 9): predict the abort probability
-  // over every record the round touches; block high-risk transactions.
+  // Every key of the round is looked up once, participants first, then
+  // keys; Eq. 9 and Eq. 5 read the same resolved stats in that order.
   // attempt < 0 disables admission for this call (re-scheduling of later
   // rounds / prepare dispatch — only whole transactions are admitted).
-  if (attempt >= 0 &&
+  const bool forecast =
       config_.policy == SchedulerPolicy::kLatencyAwareForecast &&
-      config_.admission.enabled && footprint_ != nullptr &&
-      !participants.empty()) {
-    std::vector<RecordKey> all_keys;
-    for (const auto& p : participants) {
-      all_keys.insert(all_keys.end(), p.keys.begin(), p.keys.end());
-    }
-    const double abort_prob = footprint_->AbortProbability(all_keys);
+      footprint_ != nullptr;
+  const bool admission = attempt >= 0 && forecast &&
+                         config_.admission.enabled && !participants.empty();
+  resolved_.clear();
+  if (forecast) {
+    for (const auto& p : participants) footprint_->Resolve(p.keys, &resolved_);
+  }
+  const RecordStats* const* resolved = resolved_.data();
+
+  // Late transaction scheduling (Eq. 9): predict the abort probability
+  // over every record the round touches; block high-risk transactions.
+  if (admission) {
+    const double abort_prob = HotspotFootprint::AbortProbability(
+        resolved, resolved + resolved_.size());
     if (abort_prob > config_.admission.min_considered_probability &&
         rng.NextDouble() < abort_prob) {
       if (attempt + 1 >= config_.admission.retry_limit) {
@@ -58,24 +65,27 @@ ScheduleDecision GeoScheduler::ScheduleRound(
   }
 
   // Effective latency per participant: tau (+ scaled LEL forecast).
-  std::vector<Micros> effective(participants.size(), 0);
+  effective_.assign(participants.size(), 0);
+  const RecordStats* const* keys_begin = resolved;
   for (size_t i = 0; i < participants.size(); ++i) {
     const auto& p = participants[i];
     Micros tau =
         monitor_ != nullptr ? monitor_->RttEstimate(p.data_source) : 0;
     Micros lel = 0;
-    if (config_.policy == SchedulerPolicy::kLatencyAwareForecast &&
-        footprint_ != nullptr) {
+    if (forecast) {
+      const RecordStats* const* keys_end = keys_begin + p.keys.size();
       lel = static_cast<Micros>(
           config_.forecast_scale *
-          static_cast<double>(footprint_->ForecastLel(p.keys)));
+          static_cast<double>(
+              HotspotFootprint::ForecastLel(keys_begin, keys_end)));
+      keys_begin = keys_end;
     }
-    effective[i] = tau + lel;
+    effective_[i] = tau + lel;
   }
   const Micros lat_max =
       participants.empty()
           ? 0
-          : *std::max_element(effective.begin(), effective.end());
+          : *std::max_element(effective_.begin(), effective_.end());
 
   for (size_t i = 0; i < participants.size(); ++i) {
     SubtxnPlan plan;
@@ -87,7 +97,7 @@ ScheduleDecision GeoScheduler::ScheduleRound(
       case SchedulerPolicy::kLatencyAware:
       case SchedulerPolicy::kLatencyAwareForecast:
         // Eq. 3 / Eq. 8.
-        plan.postpone = lat_max - effective[i];
+        plan.postpone = lat_max - effective_[i];
         break;
       case SchedulerPolicy::kChiller: {
         // Inner-region (lowest-latency) participant executes after the

@@ -106,6 +106,11 @@ class GeoScheduler {
   SchedulerConfig config_;
   const LatencyMonitor* monitor_;
   const HotspotFootprint* footprint_;
+  // Per-round scratch, reused so planning a round allocates only its
+  // decision: every key's stats, resolved once for Eq. 9 and Eq. 5, and
+  // each participant's effective latency.
+  mutable std::vector<const RecordStats*> resolved_;
+  mutable std::vector<Micros> effective_;
 };
 
 }  // namespace core

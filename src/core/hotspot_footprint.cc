@@ -84,26 +84,41 @@ uint32_t HotspotFootprint::Touch(const RecordKey& key) {
   return slot;
 }
 
-void HotspotFootprint::OnDispatch(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) slab_[Touch(key)].stats.a_cnt++;
+HotspotFootprint::SlabEntry& HotspotFootprint::Charged(
+    const ChargedKey& charged) {
+  GEOTP_CHECK(charged.slot < slab_.size() &&
+                  slab_[charged.slot].key == charged.key &&
+                  slab_[charged.slot].stats.a_cnt > 0,
+              "footprint slot " << charged.slot << " lost its charge on "
+                                << charged.key.ToString());
+  return slab_[charged.slot];
 }
 
-void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
+FootprintSlot HotspotFootprint::OnDispatch(const RecordKey& key) {
+  const uint32_t slot = Touch(key);
+  slab_[slot].stats.a_cnt++;
+  return slot;
+}
+
+void HotspotFootprint::OnComplete(const std::vector<ChargedKey>& charged,
                                   Micros measured_lel, bool committed) {
-  if (keys.empty()) return;
+  if (charged.empty()) return;
   // Eq. 4 weights: w_r = w_lat_r / sum of w_lat over the accessed records.
   double w_sum = 0.0;
-  for (const RecordKey& key : keys) {
-    const RecordStats* stats = Lookup(key);
-    w_sum += stats != nullptr ? stats->w_lat : config_.initial_w_lat;
+  for (const ChargedKey& record : charged) {
+    w_sum += Charged(record).stats.w_lat;
   }
   if (w_sum <= 0.0) w_sum = 1.0;
 
-  for (const RecordKey& key : keys) {
-    RecordStats& stats = slab_[Touch(key)].stats;
+  for (const ChargedKey& record : charged) {
+    SlabEntry& entry = Charged(record);
+    // Completion counts as a touch: the record moves to the LRU head.
+    LruUnlink(record.slot);
+    LruPushFront(record.slot);
+    RecordStats& stats = entry.stats;
     if (committed) {
       const double weight = stats.w_lat > 0.0 ? stats.w_lat / w_sum
-                                              : 1.0 / keys.size();
+                                              : 1.0 / charged.size();
       const double contribution =
           static_cast<double>(measured_lel) * weight;
       stats.w_lat = config_.alpha * stats.w_lat +
@@ -111,34 +126,33 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
     }
     stats.t_cnt++;
     if (committed) stats.c_cnt++;
-    if (stats.a_cnt > 0) stats.a_cnt--;
+    stats.a_cnt--;
   }
 }
 
-void HotspotFootprint::OnRelease(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) {
-    const uint32_t* slot = index_.Find(key);
-    if (slot != nullptr && slab_[*slot].stats.a_cnt > 0) {
-      slab_[*slot].stats.a_cnt--;
-    }
-  }
+void HotspotFootprint::OnRelease(const std::vector<ChargedKey>& charged) {
+  for (const ChargedKey& record : charged) Charged(record).stats.a_cnt--;
 }
 
-Micros HotspotFootprint::ForecastLel(
-    const std::vector<RecordKey>& keys) const {
+void HotspotFootprint::Resolve(const std::vector<RecordKey>& keys,
+                               std::vector<const RecordStats*>* out) const {
+  for (const RecordKey& key : keys) out->push_back(Lookup(key));
+}
+
+Micros HotspotFootprint::ForecastLel(const RecordStats* const* first,
+                                     const RecordStats* const* last) {
   double total = 0.0;
-  for (const RecordKey& key : keys) {
-    const RecordStats* stats = Lookup(key);
-    if (stats != nullptr) total += stats->w_lat;
+  for (; first != last; ++first) {
+    if (*first != nullptr) total += (*first)->w_lat;
   }
   return static_cast<Micros>(total);
 }
 
-double HotspotFootprint::AbortProbability(
-    const std::vector<RecordKey>& keys) const {
+double HotspotFootprint::AbortProbability(const RecordStats* const* first,
+                                          const RecordStats* const* last) {
   double success = 1.0;
-  for (const RecordKey& key : keys) {
-    const RecordStats* stats = Lookup(key);
+  for (; first != last; ++first) {
+    const RecordStats* stats = *first;
     if (stats == nullptr) continue;
     const auto queue_len =
         static_cast<double>(std::max<int64_t>(stats->a_cnt - 1, 0));

@@ -15,6 +15,10 @@
 // key order, so point and range access stay O(log n) as §IV-C requires.
 // The LRU is an index list threaded through the slab: touching a tracked
 // record moves no structure, and evicting one frees its slot for reuse.
+// A dispatch charges each record it touches (a_cnt++) and gets back the
+// record's slot. Eviction skips records with a_cnt > 0, so a charged slot
+// keeps its key until the charge is settled, and completion and release
+// address the slot directly instead of searching the index again.
 // w_lat updates follow Eq. 4: the measured local execution latency
 // LEL(Tij) of a subtransaction is split across the records it touched
 // proportionally to their current w_lat, then folded in with coefficient
@@ -56,6 +60,16 @@ struct RecordStats {
   }
 };
 
+/// The slab slot of a charged record (see HotspotFootprint::OnDispatch).
+using FootprintSlot = uint32_t;
+constexpr FootprintSlot kNoFootprintSlot = UINT32_MAX;
+
+/// A record a dispatch touched, with the slot its charge pinned.
+struct ChargedKey {
+  RecordKey key;
+  FootprintSlot slot = kNoFootprintSlot;
+};
+
 class HotspotFootprint {
  public:
   explicit HotspotFootprint(FootprintConfig config = FootprintConfig());
@@ -63,28 +77,39 @@ class HotspotFootprint {
   HotspotFootprint(const HotspotFootprint&) = delete;
   HotspotFootprint& operator=(const HotspotFootprint&) = delete;
 
-  /// Marks the records as being accessed (a_cnt++). Called when the DM
-  /// dispatches a subtransaction.
-  void OnDispatch(const std::vector<RecordKey>& keys);
+  /// Marks the record as being accessed (a_cnt++), tracking it if new.
+  /// Called per record when the DM dispatches a subtransaction. The
+  /// returned slot stays bound to `key` until this charge is settled by
+  /// OnComplete or OnRelease.
+  FootprintSlot OnDispatch(const RecordKey& key);
 
   /// Feedback after a subtransaction finishes: updates w_lat (Eq. 4,
   /// committed only — aborted latencies embed timeout noise), t_cnt,
-  /// c_cnt, and releases a_cnt.
-  void OnComplete(const std::vector<RecordKey>& keys, Micros measured_lel,
+  /// c_cnt, and releases a_cnt. `charged` is what OnDispatch returned
+  /// for each record of the subtransaction.
+  void OnComplete(const std::vector<ChargedKey>& charged, Micros measured_lel,
                   bool committed);
 
   /// Releases a_cnt only (no completion statistics): used when a dispatch
   /// was cancelled or the transaction settled before its response arrived,
   /// i.e. no lock acquisition outcome was observed.
-  void OnRelease(const std::vector<RecordKey>& keys);
+  void OnRelease(const std::vector<ChargedKey>& charged);
 
-  /// Eq. 5: forecasted local execution latency for a subtransaction that
-  /// will access `keys` — the sum of tracked w_lat values.
-  Micros ForecastLel(const std::vector<RecordKey>& keys) const;
+  /// Appends the stats of each of `keys` to `out`, in order (nullptr for
+  /// an untracked key): one index search per key, which Eq. 5 and Eq. 9
+  /// then share. The pointers are valid until the next OnDispatch.
+  void Resolve(const std::vector<RecordKey>& keys,
+               std::vector<const RecordStats*>* out) const;
 
-  /// Eq. 9: predicted abort probability for a transaction accessing
-  /// `keys`: 1 - prod (c/t)^max(a-1, 0).
-  double AbortProbability(const std::vector<RecordKey>& keys) const;
+  /// Eq. 5: forecasted local execution latency for a subtransaction whose
+  /// records resolved to [first, last) — the sum of tracked w_lat values.
+  static Micros ForecastLel(const RecordStats* const* first,
+                            const RecordStats* const* last);
+
+  /// Eq. 9: predicted abort probability for a transaction whose records
+  /// resolved to [first, last): 1 - prod (c/t)^max(a-1, 0).
+  static double AbortProbability(const RecordStats* const* first,
+                                 const RecordStats* const* last);
 
   /// Point lookup (nullptr if not tracked). Does not touch LRU order. The
   /// pointer is valid until the next record is inserted.
@@ -134,6 +159,9 @@ class HotspotFootprint {
 
   /// Finds or inserts (possibly evicting another record); returns the slot.
   uint32_t Touch(const RecordKey& key);
+  /// The entry of a charged record; checks that the slot still holds its
+  /// key and an unsettled charge.
+  SlabEntry& Charged(const ChargedKey& charged);
 
   // LRU primitives (index list over the slab; head = most recent).
   void LruPushFront(uint32_t slot);

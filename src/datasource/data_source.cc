@@ -288,8 +288,41 @@ void DataSourceNode::OnReplicatorReady() {
   }
 }
 
+DataSourceNode::ExecHandle DataSourceNode::NewExec() {
+  uint32_t slot;
+  if (!free_execs_.empty()) {
+    slot = free_execs_.back();
+    free_execs_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(execs_.size());
+    execs_.emplace_back();
+  }
+  ExecState& state = execs_[slot];
+  state.next_op = 0;
+  state.values.clear();
+  state.granted_value = 0;
+  state.timeout_event = runtime::kInvalidTimer;
+  state.exec_span = obs::kInvalidSpan;
+  return (static_cast<uint64_t>(state.generation) << 32) | slot;
+}
+
+DataSourceNode::ExecState* DataSourceNode::ResolveExec(ExecHandle handle) {
+  const auto slot = static_cast<uint32_t>(handle);
+  if (slot >= execs_.size()) return nullptr;
+  ExecState& state = execs_[slot];
+  return state.generation == static_cast<uint32_t>(handle >> 32) ? &state
+                                                                 : nullptr;
+}
+
+void DataSourceNode::FreeExec(ExecHandle handle) {
+  const auto slot = static_cast<uint32_t>(handle);
+  execs_[slot].generation++;
+  free_execs_.push_back(slot);
+}
+
 void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
-  auto state = std::make_shared<ExecState>();
+  const ExecHandle handle = NewExec();
+  ExecState* state = ResolveExec(handle);
   state->xid = req.xid;
   state->round_seq = req.round_seq;
   state->ops = req.ops;
@@ -300,6 +333,11 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
     state->exec_span = obs::GlobalTracer().BeginSpan(
         req.trace, "ds.branch_exec", id_, state->started_at);
   }
+  // Answers the batch without running it.
+  auto refuse = [this, handle](Status status, bool rolled_back) {
+    SendExecuteResponse(*ResolveExec(handle), std::move(status), rolled_back);
+    FreeExec(handle);
+  };
 
   // Elastic sharding: refuse batches on fenced (mid-migration) ranges —
   // the client retries and, post-cutover, routes to the new owner — and
@@ -310,9 +348,8 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
       break;
     case sharding::ShardMigrator::RouteCheck::kFenced:
       stats_.shard_fenced_rejections++;
-      SendExecuteResponse(state,
-                          Status::Unavailable("shard range migrating"),
-                          /*rolled_back=*/false);
+      refuse(Status::Unavailable("shard range migrating"),
+             /*rolled_back=*/false);
       return;
     case sharding::ShardMigrator::RouteCheck::kMoved: {
       stats_.shard_redirects_sent++;
@@ -323,14 +360,15 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
       redirect->round_seq = req.round_seq;
       redirect->entry = *moved;
       network_->Send(std::move(redirect));
+      FreeExec(handle);
       return;
     }
   }
 
   // Early abort may have outrun this (possibly postponed) request.
   if (agent_->IsTombstoned(req.xid.txn_id)) {
-    SendExecuteResponse(state, Status::Aborted("transaction early-aborted"),
-                        /*rolled_back=*/true);
+    refuse(Status::Aborted("transaction early-aborted"),
+           /*rolled_back=*/true);
     return;
   }
 
@@ -342,13 +380,12 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
     if (config_.max_run_queue > 0 &&
         engine_.ActiveCount() >= config_.max_run_queue) {
       stats_.run_queue_rejections++;
-      SendExecuteResponse(state, Status::Unavailable("run queue full"),
-                          /*rolled_back=*/false);
+      refuse(Status::Unavailable("run queue full"), /*rolled_back=*/false);
       return;
     }
     Status st = engine_.Begin(req.xid);
     if (!st.ok()) {
-      SendExecuteResponse(state, st, /*rolled_back=*/false);
+      refuse(st, /*rolled_back=*/false);
       return;
     }
     BranchInfo info;
@@ -357,24 +394,25 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
     info.trace = req.trace;
     branches_[req.xid.txn_id] = std::move(info);
   } else if (branches_.count(req.xid.txn_id) == 0) {
-    SendExecuteResponse(state, Status::Aborted("branch gone"),
-                        /*rolled_back=*/true);
+    refuse(Status::Aborted("branch gone"), /*rolled_back=*/true);
     return;
   }
   BranchInfo& branch = branches_[req.xid.txn_id];
   if (!branch.trace.valid()) branch.trace = req.trace;
+  branch.keys.reserve(branch.keys.size() + req.ops.size());
   for (const protocol::ClientOp& op : req.ops) {
     branch.keys.push_back(op.key);
   }
 
   stats_.batches_executed++;
-  RunNextOp(state);
+  RunNextOp(handle);
 }
 
-void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
-  if (state->finished) return;
+void DataSourceNode::RunNextOp(ExecHandle handle) {
+  ExecState* state = ResolveExec(handle);
+  if (state == nullptr) return;
   if (state->next_op >= state->ops.size()) {
-    FinishExecSuccess(state);
+    FinishExecSuccess(handle);
     return;
   }
   const protocol::ClientOp& cop = state->ops[state->next_op];
@@ -386,99 +424,112 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
   // would read a stale base while the batch waits in a lock queue.
   op.is_delta = cop.is_delta;
 
-  auto self = this;
   state->timeout_event = runtime::kInvalidTimer;
-  engine_.ExecuteOp(
-      state->xid, op,
-      [self, state, is_write = cop.is_write](Status status, int64_t value) {
-        if (state->timeout_event != runtime::kInvalidTimer) {
-          self->loop()->Cancel(state->timeout_event);
-          state->timeout_event = runtime::kInvalidTimer;
-        }
-        if (state->finished) return;
-        if (!status.ok()) {
-          self->FinishExecFailure(state, status);
-          return;
-        }
-        // Lock granted and the operation applied; charge the row cost.
-        const Micros cost = is_write ? self->config_.engine.write_cost
-                                     : self->config_.engine.read_cost;
-        self->stats_.ops_executed++;
-        self->loop()->Schedule(cost, [self, state, value]() {
-          if (state->finished) return;
-          state->values.push_back(value);
-          state->next_op++;
-          self->RunNextOp(state);
-        });
-      });
+  const Xid xid = state->xid;
+  engine_.ExecuteOp(xid, op, [this, handle](Status status, int64_t value) {
+    OnExecOpDone(handle, std::move(status), value);
+  });
 
   // If the request parked in the lock queue, arm the lock-wait timeout
-  // (innodb_lock_wait_timeout; paper default 5 s).
-  if (engine_.HasPendingOp(state->xid)) {
-    state->timeout_event = loop()->Schedule(
-        config_.engine.lock_wait_timeout, [self, state]() {
-          state->timeout_event = runtime::kInvalidTimer;
-          if (state->finished) return;
-          self->stats_.lock_timeouts++;
-          self->engine_.CancelPendingOp(
-              state->xid, Status::TimedOut("lock wait timeout"));
+  // (innodb_lock_wait_timeout; paper default 5 s). A failed op has already
+  // finished the exec.
+  state = ResolveExec(handle);
+  if (state != nullptr && engine_.HasPendingOp(xid)) {
+    state->timeout_event =
+        loop()->Schedule(config_.engine.lock_wait_timeout, [this, handle]() {
+          ExecState* waiting = ResolveExec(handle);
+          if (waiting == nullptr) return;
+          waiting->timeout_event = runtime::kInvalidTimer;
+          stats_.lock_timeouts++;
+          engine_.CancelPendingOp(waiting->xid,
+                                  Status::TimedOut("lock wait timeout"));
         });
   }
 }
 
-void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) {
-  state->finished = true;
-  SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
-  if (state->last_statement) {
-    auto it = branches_.find(state->xid.txn_id);
-    if (it != branches_.end()) {
-      agent_->AsyncPrepare(state->xid, it->second.peers,
-                           it->second.coordinator);
-    }
-  }
-}
-
-void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
-                                       Status status) {
-  if (state->finished) return;
-  state->finished = true;
+void DataSourceNode::OnExecOpDone(ExecHandle handle, Status status,
+                                  int64_t value) {
+  ExecState* state = ResolveExec(handle);
+  if (state == nullptr) return;
   if (state->timeout_event != runtime::kInvalidTimer) {
     loop()->Cancel(state->timeout_event);
     state->timeout_event = runtime::kInvalidTimer;
   }
-  auto it = branches_.find(state->xid.txn_id);
+  if (!status.ok()) {
+    FinishExecFailure(handle, std::move(status));
+    return;
+  }
+  // Lock granted and the operation applied; charge the row cost.
+  const Micros cost = state->ops[state->next_op].is_write
+                          ? config_.engine.write_cost
+                          : config_.engine.read_cost;
+  stats_.ops_executed++;
+  state->granted_value = value;
+  loop()->Schedule(cost, [this, handle]() {
+    ExecState* charged = ResolveExec(handle);
+    if (charged == nullptr) return;
+    charged->values.push_back(charged->granted_value);
+    charged->next_op++;
+    RunNextOp(handle);
+  });
+}
+
+void DataSourceNode::FinishExecSuccess(ExecHandle handle) {
+  ExecState* state = ResolveExec(handle);
+  const Xid xid = state->xid;
+  const bool last_statement = state->last_statement;
+  SendExecuteResponse(*state, Status::OK(), /*rolled_back=*/false);
+  FreeExec(handle);
+  if (last_statement) {
+    auto it = branches_.find(xid.txn_id);
+    if (it != branches_.end()) {
+      agent_->AsyncPrepare(xid, it->second.peers, it->second.coordinator);
+    }
+  }
+}
+
+void DataSourceNode::FinishExecFailure(ExecHandle handle, Status status) {
+  ExecState* state = ResolveExec(handle);
+  if (state == nullptr) return;
+  if (state->timeout_event != runtime::kInvalidTimer) {
+    loop()->Cancel(state->timeout_event);
+    state->timeout_event = runtime::kInvalidTimer;
+  }
+  const Xid xid = state->xid;
+  auto it = branches_.find(xid.txn_id);
   if (it != branches_.end()) {
     // Local failure: roll back the branch, then (early abort) notify peers
     // directly, bypassing the DM (§IV-A, Fig. 4b).
     const std::vector<NodeId> peers = it->second.peers;
     const NodeId coordinator = it->second.coordinator;
     branches_.erase(it);
-    agent_->Tombstone(state->xid.txn_id);
-    (void)engine_.Rollback(state->xid, loop()->Now());
+    agent_->Tombstone(xid.txn_id);
+    (void)engine_.Rollback(xid, loop()->Now());
     stats_.rollbacks++;
     if (config_.early_abort && !peers.empty()) {
-      agent_->AsyncRollback(state->xid, peers, coordinator,
-                            /*notify_dm=*/false);
+      agent_->AsyncRollback(xid, peers, coordinator, /*notify_dm=*/false);
     }
+    state = ResolveExec(handle);
+    if (state == nullptr) return;
   }
-  SendExecuteResponse(state, std::move(status), /*rolled_back=*/true);
+  SendExecuteResponse(*state, std::move(status), /*rolled_back=*/true);
+  FreeExec(handle);
 }
 
-void DataSourceNode::SendExecuteResponse(
-    const std::shared_ptr<ExecState>& state, Status status,
-    bool rolled_back) {
+void DataSourceNode::SendExecuteResponse(ExecState& state, Status status,
+                                         bool rolled_back) {
   auto resp = std::make_unique<BranchExecuteResponse>();
   resp->from = id_;
-  resp->to = state->reply_to;
-  resp->xid = state->xid;
-  resp->round_seq = state->round_seq;
+  resp->to = state.reply_to;
+  resp->xid = state.xid;
+  resp->round_seq = state.round_seq;
   resp->status = std::move(status);
-  resp->values = state->values;
-  resp->local_exec_latency = loop()->Now() - state->started_at;
+  resp->values = state.values;
+  resp->local_exec_latency = loop()->Now() - state.started_at;
   resp->rolled_back = rolled_back;
-  if (state->exec_span != obs::kInvalidSpan) {
-    obs::GlobalTracer().EndSpan(state->exec_span, loop()->Now());
-    state->exec_span = obs::kInvalidSpan;
+  if (state.exec_span != obs::kInvalidSpan) {
+    obs::GlobalTracer().EndSpan(state.exec_span, loop()->Now());
+    state.exec_span = obs::kInvalidSpan;
   }
   network_->Send(std::move(resp));
 }

@@ -199,20 +199,29 @@ class DataSourceNode {
     obs::TraceContext trace;
   };
 
-  /// In-flight execution of one BranchExecuteRequest.
+  /// In-flight execution of one BranchExecuteRequest. States live in the
+  /// `execs_` slab and are named by an ExecHandle; a freed slot keeps its
+  /// vectors' capacity for the next batch.
   struct ExecState {
     Xid xid;
     uint64_t round_seq = 0;
     std::vector<protocol::ClientOp> ops;
     size_t next_op = 0;
     std::vector<int64_t> values;
+    /// Value of the current op, granted and waiting out its row cost.
+    int64_t granted_value = 0;
     bool last_statement = false;
     Micros started_at = 0;
     NodeId reply_to = kInvalidNode;
     runtime::TimerId timeout_event = runtime::kInvalidTimer;
-    bool finished = false;
     obs::SpanHandle exec_span = obs::kInvalidSpan;
+    /// Bumped when the slot is freed, which invalidates its old handles.
+    uint32_t generation = 1;
   };
+  /// (generation << 32) | slot. Callbacks (op done, row cost, lock-wait
+  /// timeout) capture a handle, not an address: an exec that finished,
+  /// even one whose slot now serves another batch, resolves to nothing.
+  using ExecHandle = uint64_t;
 
   friend class replication::Replicator;
 
@@ -240,16 +249,22 @@ class DataSourceNode {
   /// run while a freshly promoted leader's store is behind its log.
   static bool ParkedDuringPromotion(runtime::MessageType type);
   void OnExecute(const protocol::BranchExecuteRequest& req);
-  void RunNextOp(const std::shared_ptr<ExecState>& state);
-  void FinishExecSuccess(const std::shared_ptr<ExecState>& state);
-  void FinishExecFailure(const std::shared_ptr<ExecState>& state,
-                         Status status);
+  /// Takes a free exec slot (or grows the slab) and resets it.
+  ExecHandle NewExec();
+  /// The live state `handle` names, or nullptr once that exec finished.
+  /// Resolve again after any call that may finish it.
+  ExecState* ResolveExec(ExecHandle handle);
+  void FreeExec(ExecHandle handle);
+  void RunNextOp(ExecHandle handle);
+  /// Lock outcome of the exec's current op: charges the row cost.
+  void OnExecOpDone(ExecHandle handle, Status status, int64_t value);
+  void FinishExecSuccess(ExecHandle handle);
+  void FinishExecFailure(ExecHandle handle, Status status);
   void OnPrepare(const Xid& xid, NodeId coordinator);
   void OnDecision(const protocol::DecisionItem& item, NodeId coordinator);
   void OnPing(const protocol::PingRequest& req);
 
-  void SendExecuteResponse(const std::shared_ptr<ExecState>& state,
-                           Status status, bool rolled_back);
+  void SendExecuteResponse(ExecState& state, Status status, bool rolled_back);
 
   NodeId id_;
   runtime::ITransport* network_;
@@ -266,6 +281,8 @@ class DataSourceNode {
   bool crashed_ = false;
 
   std::unordered_map<TxnId, BranchInfo> branches_;
+  std::vector<ExecState> execs_;
+  std::vector<uint32_t> free_execs_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
   std::vector<std::unique_ptr<runtime::MessageBase>> parked_;

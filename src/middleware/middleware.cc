@@ -344,24 +344,26 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
   std::map<NodeId, std::vector<std::pair<ClientOp, size_t>>> groups;
   for (size_t i = 0; i < txn->pending_ops.size(); ++i) {
     const ClientOp& op = txn->pending_ops[i];
-    groups[catalog_.Route(op.key)].emplace_back(op, i);
+    auto& group = groups[catalog_.Route(op.key)];
+    if (group.empty()) group.reserve(txn->pending_ops.size() - i);
+    group.emplace_back(op, i);
   }
   GEOTP_CHECK(!groups.empty(), "empty round");
 
-  std::vector<core::ParticipantPlanInput> inputs;
-  inputs.reserve(groups.size());
+  round_inputs_.resize(groups.size());
+  size_t input_idx = 0;
   for (const auto& [node, ops] : groups) {
-    core::ParticipantPlanInput input;
+    core::ParticipantPlanInput& input = round_inputs_[input_idx++];
     input.data_source = node;
+    input.keys.clear();
     for (const auto& [op, slot] : ops) input.keys.push_back(op.key);
-    inputs.push_back(std::move(input));
   }
 
   // Admission control (late transaction scheduling) applies to the first
   // round — the paper's Algorithm 2 admits whole transactions.
   const bool allow_admission = txn->round_seq == 0;
   core::ScheduleDecision decision = scheduler_->ScheduleRound(
-      inputs, allow_admission ? txn->admission_attempts : -1, rng_);
+      round_inputs_, allow_admission ? txn->admission_attempts : -1, rng_);
   if (allow_admission) {
     if (decision.verdict == core::AdmissionVerdict::kBlock) {
       stats_.admission_blocks++;
@@ -404,9 +406,11 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
     p.exec_outstanding = true;
     p.round_keys.clear();
     p.op_slots.clear();
+    p.round_keys.reserve(batch.size());
+    p.op_slots.reserve(batch.size());
     bool all_reads = true;
     for (const auto& [op, slot] : batch) {
-      p.round_keys.push_back(op.key);
+      p.round_keys.push_back({op.key});
       p.op_slots.push_back(slot);
       if (op.is_write) all_reads = false;
     }
@@ -469,7 +473,9 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
   // matching release happens in OnExecResponse or FinishTxn. A failover
   // retry keeps the original charge.
   if (!p.footprint_charged) {
-    footprint_->OnDispatch(p.round_keys);
+    for (core::ChargedKey& charged : p.round_keys) {
+      charged.slot = footprint_->OnDispatch(charged.key);
+    }
     p.footprint_charged = true;
   }
   network_->Send(std::move(req));
@@ -1221,7 +1227,7 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
     Participant& q = txn->participants[target];
     q.op_slots = std::move(group.second);
     q.round_keys.clear();
-    for (const ClientOp& op : group.first) q.round_keys.push_back(op.key);
+    for (const ClientOp& op : group.first) q.round_keys.push_back({op.key});
     SendBranchBatch(*txn, target, std::move(group.first), round_seq);
   }
 }

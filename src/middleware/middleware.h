@@ -211,7 +211,9 @@ class MiddlewareNode {
     protocol::Vote vote = protocol::Vote::kPrepared;
     bool rollback_confirmed = false;
     bool decision_acked = false;
-    std::vector<RecordKey> round_keys;
+    /// This round's keys, each with the footprint slot its dispatch
+    /// charged (valid while footprint_charged).
+    std::vector<core::ChargedKey> round_keys;
     std::vector<size_t> op_slots;  ///< positions in the client round
     // Replication support.
     bool via_follower = false;    ///< current batch is a follower read
@@ -355,6 +357,10 @@ class MiddlewareNode {
   std::unique_ptr<core::HotspotFootprint> footprint_;
   std::unique_ptr<core::LatencyMonitor> monitor_;
   std::unique_ptr<core::GeoScheduler> scheduler_;
+  /// Scheduler input of the round being planned, reused across rounds so
+  /// its key vectors keep their capacity (an admission-blocked round is
+  /// planned again every backoff).
+  std::vector<core::ParticipantPlanInput> round_inputs_;
   std::unique_ptr<sharding::ShardBalancer> balancer_;
   Rng rng_;
   /// Dedicated stream for trace-sampling decisions so enabling tracing

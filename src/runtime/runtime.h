@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/types.h"
@@ -126,6 +127,8 @@ class IStableStorage {
 /// Simulated log device: a flush takes exactly `cost_hint` of virtual
 /// time on the owning actor's timer. This is the cost model every
 /// pre-runtime bench number was produced under, now behind the seam.
+/// Pending completions wait in a slot list, so the scheduled event
+/// captures only `[this, slot]` and fits std::function's inline buffer.
 class SimStableStorage : public IStableStorage {
  public:
   explicit SimStableStorage(ITimer* timer) : timer_(timer) {}
@@ -133,9 +136,20 @@ class SimStableStorage : public IStableStorage {
   void Flush(std::string batch, Micros cost_hint,
              std::function<void()> done) override {
     bytes_ += batch.size();
-    timer_->Schedule(cost_hint, [this, done = std::move(done)]() {
+    size_t slot = pending_.size();
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      pending_[slot] = std::move(done);
+    } else {
+      pending_.push_back(std::move(done));
+    }
+    timer_->Schedule(cost_hint, [this, slot]() {
       ++fsyncs_;
-      done();
+      std::function<void()> finished = std::move(pending_[slot]);
+      pending_[slot] = nullptr;
+      free_slots_.push_back(slot);
+      finished();
     });
   }
 
@@ -146,6 +160,9 @@ class SimStableStorage : public IStableStorage {
   ITimer* timer_;
   uint64_t fsyncs_ = 0;
   uint64_t bytes_ = 0;
+  /// Completion callbacks of flushes in flight, by slot.
+  std::vector<std::function<void()>> pending_;
+  std::vector<size_t> free_slots_;
 };
 
 /// Opens named durable devices for actors (one WAL per data source, one

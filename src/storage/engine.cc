@@ -60,42 +60,40 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
               "one outstanding op per branch: " << xid.ToString());
 
   const LockMode mode = op.is_write ? LockMode::kExclusive : LockMode::kShared;
-  // Capture by value: `op` lives on the caller's stack.
-  const Operation operation = op;
-  const Xid owner = xid;
-  LockRequestId id = locks_.RequestLock(
-      owner, operation.key, mode,
-      [this, owner, operation, cb = std::move(callback)](Status status) {
-        TxnData* txn = Find(owner);
-        if (txn != nullptr) txn->pending_request = kInvalidLockRequest;
-        if (!status.ok()) {
-          cb(status, 0);
-          return;
-        }
-        if (txn == nullptr || txn->state != TxnState::kActive) {
-          cb(Status::Aborted("branch gone while waiting"), 0);
-          return;
-        }
-        if (operation.is_write) {
-          Record& record = store_.Slot(operation.key);
-          const int64_t base = record.value;
-          txn->undo.push_back(UndoEntry{operation.key, base});
-          const int64_t final_value =
-              operation.is_delta ? base + operation.write_value
-                                 : operation.write_value;
-          record.value = final_value;
-          cb(Status::OK(), final_value);
-        } else {
-          auto record = store_.Get(operation.key);
-          cb(Status::OK(), record ? record->value : 0);
-        }
-      });
+  data->op = op;
+  data->op_callback = std::move(callback);
+  const LockRequestId id = locks_.RequestLock(
+      xid, op.key, mode,
+      [this, data](Status status) { OnOpLock(data, std::move(status)); });
   if (id != kInvalidLockRequest) {
     // Parked. The callback above fires later; remember the id so Rollback
     // or a timeout can cancel it.
-    TxnData* txn = Find(xid);
-    GEOTP_CHECK(txn != nullptr, "txn vanished while parking");
-    txn->pending_request = id;
+    data->pending_request = id;
+  }
+}
+
+void TransactionEngine::OnOpLock(TxnData* txn, Status status) {
+  txn->pending_request = kInvalidLockRequest;
+  // The callback may end the branch and erase `txn`: take it out first.
+  OpCallback callback = std::move(txn->op_callback);
+  if (!status.ok()) {
+    callback(status, 0);
+    return;
+  }
+  // Granted: a parked branch cannot have left kActive (see TxnData).
+  GEOTP_CHECK(txn->state == TxnState::kActive, "grant to a settled branch");
+  const Operation& op = txn->op;
+  if (op.is_write) {
+    Record& record = store_.Slot(op.key);
+    const int64_t base = record.value;
+    txn->undo.push_back(UndoEntry{op.key, base});
+    const int64_t final_value =
+        op.is_delta ? base + op.write_value : op.write_value;
+    record.value = final_value;
+    callback(Status::OK(), final_value);
+  } else {
+    auto record = store_.Get(op.key);
+    callback(Status::OK(), record ? record->value : 0);
   }
 }
 

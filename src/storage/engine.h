@@ -156,15 +156,24 @@ class TransactionEngine {
     RecordKey key;
     int64_t old_value;
   };
+  /// One live branch. Nodes of `txns_` never move, so the lock callback of
+  /// the branch's current operation addresses its node directly; it cannot
+  /// outlive the node, because Rollback cancels a parked request before the
+  /// node is erased and Commit refuses while one is parked.
   struct TxnData {
     TxnState state = TxnState::kActive;
     std::vector<UndoEntry> undo;
     LockRequestId pending_request = kInvalidLockRequest;
+    /// The operation waiting for its lock, and whom to tell.
+    Operation op;
+    OpCallback op_callback;
   };
 
   TxnData* Find(const Xid& xid);
   const TxnData* Find(const Xid& xid) const;
   void Finish(const Xid& xid, TxnData& data, TxnState final_state);
+  /// Lock outcome of `txn`'s current operation: applies it and reports.
+  void OnOpLock(TxnData* txn, Status status);
 
   EngineConfig config_;
   RecordStore store_;

@@ -8,22 +8,49 @@
 namespace geotp {
 namespace storage {
 
+namespace {
+
+/// The (owner, mode) entry of `owner` in a lock state's holder vector, or
+/// nullptr; const-ness follows the vector's.
+template <typename Holders>
+auto FindHolder(Holders& holders, const Xid& owner) -> decltype(&holders[0]) {
+  for (auto& holder : holders) {
+    if (holder.first == owner) return &holder;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+LockManager::LockState& LockManager::StateOf(const RecordKey& key) {
+  auto it = locks_.find(key);
+  if (it != locks_.end()) return it->second;
+  if (free_states_.empty()) return locks_[key];
+  LockTable::node_type node = std::move(free_states_.back());
+  free_states_.pop_back();
+  node.key() = key;
+  node.mapped().mode = LockMode::kShared;
+  return locks_.insert(std::move(node)).position->second;
+}
+
+void LockManager::Retire(LockTable::iterator it) {
+  free_states_.push_back(locks_.extract(it));
+}
+
 LockRequestId LockManager::RequestLock(const Xid& owner, const RecordKey& key,
                                        LockMode mode, LockCallback callback) {
-  LockState& state = locks_[key];
+  LockState& state = StateOf(key);
 
-  auto holder_it = state.holders.find(owner);
-  if (holder_it != state.holders.end()) {
+  if (auto* holder = FindHolder(state.holders, owner)) {
     // Re-entrant: already holds >= mode?
-    if (holder_it->second == LockMode::kExclusive ||
-        mode == LockMode::kShared) {
+    if (holder->second == LockMode::kExclusive || mode == LockMode::kShared) {
       stats_.grants_immediate++;
       callback(Status::OK());
       return kInvalidLockRequest;
     }
     // Upgrade S -> X.
     if (state.holders.size() == 1) {
-      holder_it->second = LockMode::kExclusive;
+      holder->second = LockMode::kExclusive;
       state.mode = LockMode::kExclusive;
       stats_.upgrades++;
       stats_.grants_immediate++;
@@ -32,14 +59,15 @@ LockRequestId LockManager::RequestLock(const Xid& owner, const RecordKey& key,
     }
     // Park the upgrade ahead of regular waiters (deadlock-checked: two
     // shared holders upgrading concurrently is the classic cycle).
-    std::unordered_set<RecordKey, RecordKeyHash> visited;
-    if (WouldDeadlock(owner, key, /*depth=*/0, &visited)) {
+    visited_.clear();
+    if (WouldDeadlock(owner, key, /*depth=*/0)) {
       stats_.deadlocks++;
       callback(Status::Aborted("deadlock victim"));
       return kInvalidLockRequest;
     }
     const LockRequestId id = next_request_id_++;
-    state.queue.push_front(
+    state.queue.insert(
+        state.queue.begin(),
         Waiter{id, owner, LockMode::kExclusive, true, std::move(callback)});
     parked_.emplace(id, key);
     waiting_on_[owner] = key;
@@ -50,7 +78,7 @@ LockRequestId LockManager::RequestLock(const Xid& owner, const RecordKey& key,
   const bool compatible =
       state.holders.empty() || Compatible(state.mode, mode);
   if (compatible && state.queue.empty()) {
-    state.holders.emplace(owner, mode);
+    state.holders.emplace_back(owner, mode);
     if (state.holders.size() == 1 || mode == LockMode::kExclusive) {
       state.mode = state.holders.size() == 1 ? mode : LockMode::kShared;
     }
@@ -60,8 +88,8 @@ LockRequestId LockManager::RequestLock(const Xid& owner, const RecordKey& key,
     return kInvalidLockRequest;
   }
 
-  std::unordered_set<RecordKey, RecordKeyHash> visited;
-  if (WouldDeadlock(owner, key, /*depth=*/0, &visited)) {
+  visited_.clear();
+  if (WouldDeadlock(owner, key, /*depth=*/0)) {
     stats_.deadlocks++;
     callback(Status::Aborted("deadlock victim"));
     return kInvalidLockRequest;
@@ -73,9 +101,8 @@ LockRequestId LockManager::RequestLock(const Xid& owner, const RecordKey& key,
   return id;
 }
 
-bool LockManager::WouldDeadlock(
-    const Xid& requester, const RecordKey& key, int depth,
-    std::unordered_set<RecordKey, RecordKeyHash>* visited) const {
+bool LockManager::WouldDeadlock(const Xid& requester, const RecordKey& key,
+                                int depth) {
   if (depth > 64) return false;  // cap the search; miss rather than stall
   auto lock_it = locks_.find(key);
   if (lock_it == locks_.end()) return false;
@@ -86,23 +113,27 @@ bool LockManager::WouldDeadlock(
   // the requester releases, and the requester is about to wait on the
   // chain's origin. At depth 0 the requester is naturally a holder (lock
   // upgrade), which is not a cycle by itself.
-  if (depth > 0 && state.holders.count(requester) > 0) return true;
+  const bool requester_holds = FindHolder(state.holders, requester) != nullptr;
+  if (depth > 0 && requester_holds) return true;
 
   // Expansion (runs once per key): follow every blocker's wait edge. A
   // regular request queues behind holders and earlier waiters; an upgrade
   // jumps to the queue front, so at the root key only the holders block it.
-  if (!visited->insert(key).second) return false;
-  const bool requester_is_upgrading =
-      depth == 0 && state.holders.count(requester) > 0;
+  // A wait chain reaches few distinct keys (each needs a waiting txn), so
+  // the visited set is a short vector.
+  if (std::find(visited_.begin(), visited_.end(), key) != visited_.end()) {
+    return false;
+  }
+  visited_.push_back(key);
+  const bool requester_is_upgrading = depth == 0 && requester_holds;
   auto follow = [&](const Xid& blocker) {
     if (blocker == requester) return false;
     auto wait_it = waiting_on_.find(blocker);
     if (wait_it == waiting_on_.end()) return false;
-    return WouldDeadlock(requester, wait_it->second, depth + 1, visited);
+    return WouldDeadlock(requester, wait_it->second, depth + 1);
   };
-  for (const auto& [holder, mode] : state.holders) {
-    (void)mode;
-    if (follow(holder)) return true;
+  for (const auto& holder : state.holders) {
+    if (follow(holder.first)) return true;
   }
   if (!requester_is_upgrading) {
     for (const Waiter& waiter : state.queue) {
@@ -147,13 +178,12 @@ void LockManager::ReleaseAll(const Xid& owner) {
     auto lock_it = locks_.find(key);
     if (lock_it == locks_.end()) continue;
     LockState& state = lock_it->second;
-    state.holders.erase(owner);
-    if (state.holders.empty() && state.queue.empty()) {
-      locks_.erase(lock_it);
-      continue;
+    if (auto* holder = FindHolder(state.holders, owner)) {
+      state.holders.erase(state.holders.begin() +
+                          (holder - state.holders.data()));
     }
     ProcessQueue(key, state, to_fire);
-    if (state.holders.empty() && state.queue.empty()) locks_.erase(key);
+    if (state.holders.empty() && state.queue.empty()) Retire(lock_it);
   }
   held_by_owner_.erase(owner_it);
   for (auto& fire : to_fire) fire(Status::OK());
@@ -161,50 +191,49 @@ void LockManager::ReleaseAll(const Xid& owner) {
 
 void LockManager::ProcessQueue(const RecordKey& key, LockState& state,
                                std::vector<LockCallback>& to_fire) {
-  while (!state.queue.empty()) {
-    Waiter& head = state.queue.front();
+  // Grants the longest grantable prefix, then drops it in one erase.
+  size_t granted = 0;
+  while (granted < state.queue.size()) {
+    Waiter& head = state.queue[granted];
     if (head.is_upgrade) {
       // Upgrade fires only when its owner is the sole holder.
-      if (state.holders.size() == 1 &&
-          state.holders.count(head.owner) == 1) {
-        state.holders[head.owner] = LockMode::kExclusive;
-        state.mode = LockMode::kExclusive;
-        stats_.upgrades++;
-        stats_.grants_after_wait++;
-        parked_.erase(head.id);
-        waiting_on_.erase(head.owner);
-        to_fire.push_back(std::move(head.callback));
-        state.queue.pop_front();
-        continue;
+      if (state.holders.size() != 1 ||
+          !(state.holders.front().first == head.owner)) {
+        break;
       }
-      return;
+      state.holders.front().second = LockMode::kExclusive;
+      state.mode = LockMode::kExclusive;
+      stats_.upgrades++;
+    } else {
+      const bool can_grant =
+          state.holders.empty() ||
+          (state.mode == LockMode::kShared && head.mode == LockMode::kShared);
+      if (!can_grant) break;
+      if (FindHolder(state.holders, head.owner) == nullptr) {
+        state.holders.emplace_back(head.owner, head.mode);
+      }
+      state.mode = head.mode == LockMode::kExclusive ? LockMode::kExclusive
+                                                     : LockMode::kShared;
+      held_by_owner_[head.owner].insert(key);
     }
-    const bool can_grant =
-        state.holders.empty() ||
-        (state.mode == LockMode::kShared && head.mode == LockMode::kShared);
-    if (!can_grant) return;
-    state.holders.emplace(head.owner, head.mode);
-    state.mode = head.mode == LockMode::kExclusive ? LockMode::kExclusive
-                                                   : LockMode::kShared;
-    held_by_owner_[head.owner].insert(key);
     stats_.grants_after_wait++;
     parked_.erase(head.id);
     waiting_on_.erase(head.owner);
     to_fire.push_back(std::move(head.callback));
-    state.queue.pop_front();
+    ++granted;
     // An exclusive grant saturates the lock: nothing else can follow.
-    if (state.mode == LockMode::kExclusive) return;
+    if (!head.is_upgrade && state.mode == LockMode::kExclusive) break;
   }
+  state.queue.erase(state.queue.begin(), state.queue.begin() + granted);
 }
 
 bool LockManager::Holds(const Xid& owner, const RecordKey& key,
                         LockMode mode) const {
   auto lock_it = locks_.find(key);
   if (lock_it == locks_.end()) return false;
-  auto holder_it = lock_it->second.holders.find(owner);
-  if (holder_it == lock_it->second.holders.end()) return false;
-  return holder_it->second == LockMode::kExclusive ||
-         mode == LockMode::kShared;
+  const auto* holder = FindHolder(lock_it->second.holders, owner);
+  if (holder == nullptr) return false;
+  return holder->second == LockMode::kExclusive || mode == LockMode::kShared;
 }
 
 size_t LockManager::WaitersOn(const RecordKey& key) const {

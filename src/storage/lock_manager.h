@@ -11,14 +11,20 @@
 // are woken by ReleaseAll(). Timeouts are driven from outside via
 // CancelRequest() — the data-source node schedules the 5 s lock-wait
 // timeout on the event loop.
+//
+// Lock states are pooled: a key's state lives in its hash node, and when
+// the last holder and waiter leave, the node is extracted onto a free list
+// and re-keyed for the next key that needs a state. Holders and waiters
+// are short vectors, so a recycled state keeps their capacity and taking
+// an uncontended lock allocates nothing once the pool has warmed up.
 #ifndef GEOTP_STORAGE_LOCK_MANAGER_H_
 #define GEOTP_STORAGE_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -99,9 +105,16 @@ class LockManager {
 
   struct LockState {
     LockMode mode = LockMode::kShared;       // meaningful iff !holders.empty()
-    std::unordered_map<Xid, LockMode, XidHash> holders;
-    std::deque<Waiter> queue;
+    std::vector<std::pair<Xid, LockMode>> holders;
+    /// FIFO, except that a parked upgrade goes to the front.
+    std::vector<Waiter> queue;
   };
+  using LockTable = std::unordered_map<RecordKey, LockState, RecordKeyHash>;
+
+  /// The state of `key`, taking a retired node from the pool for a new key.
+  LockState& StateOf(const RecordKey& key);
+  /// Moves the node at `it` (no holders, no waiters) to the pool.
+  void Retire(LockTable::iterator it);
 
   /// Grants as many queued waiters as compatibility allows (FIFO).
   void ProcessQueue(const RecordKey& key, LockState& state,
@@ -110,21 +123,25 @@ class LockManager {
   /// DFS over the wait-for graph: would `requester` waiting on `key` close
   /// a cycle back to itself? Visited-set pruned so hot keys with long wait
   /// queues stay linear; conservative (treats every queued waiter and
-  /// every holder as blocking).
-  bool WouldDeadlock(
-      const Xid& requester, const RecordKey& key, int depth,
-      std::unordered_set<RecordKey, RecordKeyHash>* visited) const;
+  /// every holder as blocking). The caller clears `visited_` first.
+  bool WouldDeadlock(const Xid& requester, const RecordKey& key, int depth);
 
   static bool Compatible(LockMode held, LockMode requested) {
     return held == LockMode::kShared && requested == LockMode::kShared;
   }
 
-  std::unordered_map<RecordKey, LockState, RecordKeyHash> locks_;
+  LockTable locks_;
+  /// Retired lock-state nodes, reused before a new node is allocated.
+  std::vector<LockTable::node_type> free_states_;
+  /// Keys WouldDeadlock expanded; a member so its buffer is reused.
+  std::vector<RecordKey> visited_;
   // Reverse index: parked request id -> key (for cancellation).
   std::unordered_map<LockRequestId, RecordKey> parked_;
   // Which key each transaction currently waits on (wait-for graph edges).
   std::unordered_map<Xid, RecordKey, XidHash> waiting_on_;
-  // Held keys per owner, for ReleaseAll.
+  // Held keys per owner, for ReleaseAll. ReleaseAll wakes waiters in this
+  // set's iteration order, so the container type is part of the event
+  // order: another container would reorder wake-ups.
   std::unordered_map<Xid, std::unordered_set<RecordKey, RecordKeyHash>,
                      XidHash>
       held_by_owner_;

@@ -287,6 +287,71 @@ TEST_F(DataSourceTest, OnCoordinatorFailureAbortsOnlyUnprepared) {
             storage::TxnState::kAborted);
 }
 
+/// The simulator's timer, except that Cancel never takes effect — as when
+/// a cancel loses the race with an expiry that is already due on a real
+/// runtime. Every timer an actor arms then fires.
+class LostCancelTimer : public runtime::ITimer {
+ public:
+  explicit LostCancelTimer(sim::EventLoop* loop) : loop_(loop) {}
+  Micros Now() const override { return loop_->Now(); }
+  runtime::TimerId Schedule(Micros delay, std::function<void()> fn) override {
+    return loop_->Schedule(delay, std::move(fn));
+  }
+  runtime::TimerId ScheduleAt(Micros when,
+                              std::function<void()> fn) override {
+    return loop_->ScheduleAt(when, std::move(fn));
+  }
+  bool Cancel(runtime::TimerId id) override {
+    (void)id;
+    return false;
+  }
+
+ private:
+  sim::EventLoop* loop_;
+};
+
+TEST_F(DataSourceTest, StaleLockWaitTimeoutLeavesTheSlotsNextBatchAlone) {
+  LostCancelTimer timer(&loop_);
+  runtime::ActorEnv env = rt_->EnvFor(1);
+  env.timer = &timer;
+  ds1_ = std::make_unique<DataSourceNode>(env, DataSourceConfig::MySql());
+  ds1_->Attach();
+  const Micros timeout = ds1_->config().engine.lock_wait_timeout;
+
+  // Txn 200 parks behind txn 100 and arms its 5 s timeout, then gets the
+  // lock when 100 commits; its timeout stays armed (the cancel is lost).
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, false);
+  loop_.Run();
+  SendExecute(1, 200, {Write(RecordKey{1, 1}, 2)}, false);
+  loop_.RunUntil(MsToMicros(100));
+  SendDecision(1, 100, /*commit=*/true, /*one_phase=*/true);
+  loop_.RunUntil(MsToMicros(200));
+  ASSERT_EQ(exec_responses_.size(), 2u);
+  EXPECT_TRUE(exec_responses_[1].status.ok());
+
+  // Txn 300's batch takes the freed exec slot and parks behind txn 400.
+  SendExecute(1, 400, {Write(RecordKey{1, 2}, 4)}, false);
+  loop_.RunUntil(MsToMicros(300));
+  SendExecute(1, 300, {Write(RecordKey{1, 2}, 3)}, false);
+  loop_.RunUntil(MsToMicros(400));
+  ASSERT_EQ(exec_responses_.size(), 3u);
+  ASSERT_TRUE(ds1_->engine().HasPendingOp(Xid{300, 1}));
+
+  // Txn 200's stale timeout fires: it must not time txn 300 out.
+  loop_.RunUntil(timeout + MsToMicros(200));
+  EXPECT_EQ(ds1_->stats().lock_timeouts, 0u);
+  EXPECT_TRUE(ds1_->engine().HasPendingOp(Xid{300, 1}));
+  EXPECT_EQ(exec_responses_.size(), 3u);
+
+  // Txn 300's own timeout does.
+  loop_.Run();
+  ASSERT_EQ(exec_responses_.size(), 4u);
+  EXPECT_EQ(exec_responses_[3].xid.txn_id, 300u);
+  EXPECT_TRUE(exec_responses_[3].status.IsTimedOut());
+  EXPECT_GE(exec_responses_[3].local_exec_latency, timeout);
+  EXPECT_EQ(ds1_->stats().lock_timeouts, 1u);
+}
+
 TEST_F(DataSourceTest, DialectsCarryDifferentCostModels) {
   EXPECT_NE(ds1_->config().engine.read_cost, ds2_->config().engine.read_cost);
 }

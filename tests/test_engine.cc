@@ -222,6 +222,85 @@ TEST_F(EngineTest, DeadlockVictimGetsAborted) {
   EXPECT_TRUE(victim.IsAborted());
 }
 
+/// Counts the live copies of a callback's capture.
+class LiveCopies {
+ public:
+  explicit LiveCopies(int* live) : live_(live) { ++*live_; }
+  LiveCopies(const LiveCopies& other) : live_(other.live_) { ++*live_; }
+  LiveCopies& operator=(const LiveCopies&) = delete;
+  ~LiveCopies() { --*live_; }
+
+ private:
+  int* live_;
+};
+
+TEST_F(EngineTest, RolledBackParkedOpFiresOnceAndDropsItsCallback) {
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
+  int live = 0;
+  int fired = 0;
+  Status seen;
+  engine_.ExecuteOp(T(2), WriteOp(5, 2),
+                    [probe = LiveCopies(&live), &fired, &seen](Status st,
+                                                               int64_t) {
+                      ++fired;
+                      seen = std::move(st);
+                    });
+  EXPECT_GT(live, 0) << "the parked op keeps its callback";
+  ASSERT_TRUE(engine_.Rollback(T(2), 10).ok());
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(seen.IsAborted());
+  EXPECT_EQ(live, 0) << "the callback outlived its op";
+  // Releasing the lock later wakes nobody.
+  ASSERT_TRUE(engine_.Commit(T(1), 20).ok());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine_.locks().HoldersOn(K(5)), 0u);
+}
+
+TEST_F(EngineTest, GrantedOpDropsItsCallback) {
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  int live = 0;
+  int fired = 0;
+  engine_.ExecuteOp(T(1), WriteOp(5, 1),
+                    [probe = LiveCopies(&live), &fired](Status st, int64_t) {
+                      EXPECT_TRUE(st.ok());
+                      ++fired;
+                    });
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(live, 0);
+  ASSERT_TRUE(engine_.Commit(T(1), 10).ok());
+}
+
+TEST_F(EngineTest, OpCallbackMayEndItsOwnBranch) {
+  // The data source rolls a branch back from inside a failed op's callback
+  // and may commit one from inside a granted op's: the engine must not
+  // touch the branch after handing the outcome over.
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  ASSERT_TRUE(engine_.Begin(T(3)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
+  int64_t granted_value = 0;
+  engine_.ExecuteOp(T(2), WriteOp(5, 2), [&](Status st, int64_t value) {
+    ASSERT_TRUE(st.ok());
+    granted_value = value;
+    ASSERT_TRUE(engine_.Commit(T(2), 30).ok());
+  });
+  Status cancelled;
+  engine_.ExecuteOp(T(3), ReadOp(5), [&](Status st, int64_t) {
+    cancelled = std::move(st);
+    ASSERT_TRUE(engine_.Rollback(T(3), 20).ok());
+  });
+  engine_.CancelPendingOp(T(3), Status::TimedOut("lock wait"));
+  EXPECT_TRUE(cancelled.IsTimedOut());
+  EXPECT_EQ(engine_.StateOf(T(3)), TxnState::kAborted);
+  ASSERT_TRUE(engine_.Commit(T(1), 40).ok());
+  EXPECT_EQ(granted_value, 2);
+  EXPECT_EQ(engine_.ActiveCount(), 0u);
+  EXPECT_EQ(engine_.store().Get(K(5))->value, 2);
+  EXPECT_EQ(engine_.locks().HoldersOn(K(5)), 0u);
+}
+
 TEST_F(EngineTest, EngineConfigPresetsDiffer) {
   EngineConfig mysql = MySqlEngineConfig();
   EngineConfig postgres = PostgresEngineConfig();

@@ -28,25 +28,62 @@ std::vector<RecordKey> Keys(std::initializer_list<uint64_t> ks) {
   return out;
 }
 
+/// Charges one dispatch of `keys`, as the DM does per subtransaction.
+std::vector<ChargedKey> Dispatch(HotspotFootprint& fp,
+                                 const std::vector<RecordKey>& keys) {
+  std::vector<ChargedKey> charged;
+  for (const RecordKey& key : keys) {
+    charged.push_back({key, fp.OnDispatch(key)});
+  }
+  return charged;
+}
+
+/// Dispatch + completion of one subtransaction.
+void RunSubtxn(HotspotFootprint& fp, const std::vector<RecordKey>& keys,
+               Micros measured_lel, bool committed) {
+  fp.OnComplete(Dispatch(fp, keys), measured_lel, committed);
+}
+
+std::vector<const RecordStats*> Resolved(const HotspotFootprint& fp,
+                                         const std::vector<RecordKey>& keys) {
+  std::vector<const RecordStats*> stats;
+  fp.Resolve(keys, &stats);
+  return stats;
+}
+
+/// Eq. 5 over `keys`.
+Micros Forecast(const HotspotFootprint& fp,
+                const std::vector<RecordKey>& keys) {
+  const auto stats = Resolved(fp, keys);
+  return HotspotFootprint::ForecastLel(stats.data(),
+                                       stats.data() + stats.size());
+}
+
+/// Eq. 9 over `keys`.
+double AbortProb(const HotspotFootprint& fp,
+                 const std::vector<RecordKey>& keys) {
+  const auto stats = Resolved(fp, keys);
+  return HotspotFootprint::AbortProbability(stats.data(),
+                                            stats.data() + stats.size());
+}
+
 TEST(FootprintTest, DispatchTracksActiveCount) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1, 2}));
+  Dispatch(fp, Keys({1, 2}));
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 1);
-  fp.OnDispatch(Keys({1}));
+  const auto second = Dispatch(fp, Keys({1}));
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 2);
-  fp.OnComplete(Keys({1}), 1000, true);
+  fp.OnComplete(second, 1000, true);
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 1);
 }
 
 TEST(FootprintTest, CompleteUpdatesCounters) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 1000, true);
+  RunSubtxn(fp, Keys({1}), 1000, true);
   const RecordStats* stats = fp.Lookup(K(1));
   EXPECT_EQ(stats->t_cnt, 1u);
   EXPECT_EQ(stats->c_cnt, 1u);
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 1000, false);
+  RunSubtxn(fp, Keys({1}), 1000, false);
   EXPECT_EQ(stats->t_cnt, 2u);
   EXPECT_EQ(stats->c_cnt, 1u);
   EXPECT_DOUBLE_EQ(stats->SuccessRatio(), 0.5);
@@ -58,78 +95,63 @@ TEST(FootprintTest, WLatConvergesTowardMeasurement) {
   HotspotFootprint fp(config);
   // Single-key subtransactions: the weight w_r is 1, so w_lat converges
   // toward the measured LEL.
-  for (int i = 0; i < 40; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 10000, true);
-  }
+  for (int i = 0; i < 40; ++i) RunSubtxn(fp, Keys({1}), 10000, true);
   EXPECT_NEAR(fp.Lookup(K(1))->w_lat, 10000.0, 500.0);
 }
 
 TEST(FootprintTest, AbortedCompletionsDoNotMoveWLat) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 500, true);
+  RunSubtxn(fp, Keys({1}), 500, true);
   const double w = fp.Lookup(K(1))->w_lat;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 999999, false);
+  RunSubtxn(fp, Keys({1}), 999999, false);
   EXPECT_DOUBLE_EQ(fp.Lookup(K(1))->w_lat, w);
 }
 
 TEST(FootprintTest, ForecastSumsTrackedKeys) {
   HotspotFootprint fp;
   for (int i = 0; i < 30; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 4000, true);
-    fp.OnDispatch(Keys({2}));
-    fp.OnComplete(Keys({2}), 2000, true);
+    RunSubtxn(fp, Keys({1}), 4000, true);
+    RunSubtxn(fp, Keys({2}), 2000, true);
   }
-  const Micros forecast = fp.ForecastLel(Keys({1, 2}));
+  const Micros forecast = Forecast(fp, Keys({1, 2}));
   EXPECT_NEAR(static_cast<double>(forecast), 6000.0, 600.0);
   // Untracked keys contribute nothing.
-  EXPECT_EQ(fp.ForecastLel(Keys({99})), 0);
+  EXPECT_EQ(Forecast(fp, Keys({99})), 0);
 }
 
 TEST(FootprintTest, AbortProbabilityMatchesEquation9) {
   HotspotFootprint fp;
   // Build history: 10 accesses, 5 committed -> success ratio 0.5.
-  for (int i = 0; i < 10; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 100, i < 5);
-  }
+  for (int i = 0; i < 10; ++i) RunSubtxn(fp, Keys({1}), 100, i < 5);
   // Queue depth: 3 concurrent accessors -> exponent max(3-1, 0) = 2.
-  fp.OnDispatch(Keys({1}));
-  fp.OnDispatch(Keys({1}));
-  fp.OnDispatch(Keys({1}));
-  EXPECT_NEAR(fp.AbortProbability(Keys({1})), 1.0 - std::pow(0.5, 2), 1e-9);
+  Dispatch(fp, Keys({1}));
+  Dispatch(fp, Keys({1}));
+  Dispatch(fp, Keys({1}));
+  EXPECT_NEAR(AbortProb(fp, Keys({1})), 1.0 - std::pow(0.5, 2), 1e-9);
 }
 
 TEST(FootprintTest, AbortProbabilityZeroWhenIdle) {
   HotspotFootprint fp;
   for (int i = 0; i < 10; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 100, false);  // terrible history
+    RunSubtxn(fp, Keys({1}), 100, false);  // terrible history
   }
   // No concurrent accessors -> exponent 0 -> never blocked.
-  EXPECT_DOUBLE_EQ(fp.AbortProbability(Keys({1})), 0.0);
+  EXPECT_DOUBLE_EQ(AbortProb(fp, Keys({1})), 0.0);
 }
 
 TEST(FootprintTest, AbortProbabilityMultipliesAcrossKeys) {
   HotspotFootprint fp;
   for (uint64_t k : {1u, 2u}) {
-    for (int i = 0; i < 10; ++i) {
-      fp.OnDispatch(Keys({k}));
-      fp.OnComplete(Keys({k}), 100, i < 5);
-    }
-    fp.OnDispatch(Keys({k}));
-    fp.OnDispatch(Keys({k}));  // a_cnt = 2 -> exponent 1
+    for (int i = 0; i < 10; ++i) RunSubtxn(fp, Keys({k}), 100, i < 5);
+    Dispatch(fp, Keys({k}));
+    Dispatch(fp, Keys({k}));  // a_cnt = 2 -> exponent 1
   }
-  EXPECT_NEAR(fp.AbortProbability(Keys({1, 2})), 1.0 - 0.25, 1e-9);
+  EXPECT_NEAR(AbortProb(fp, Keys({1, 2})), 1.0 - 0.25, 1e-9);
 }
 
 TEST(FootprintTest, OnReleaseOnlyDropsActiveCount) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnRelease(Keys({1}));
+  fp.OnRelease(Dispatch(fp, Keys({1})));
   const RecordStats* stats = fp.Lookup(K(1));
   EXPECT_EQ(stats->a_cnt, 0);
   EXPECT_EQ(stats->t_cnt, 0u);
@@ -139,10 +161,7 @@ TEST(FootprintTest, LruEvictsColdRecords) {
   FootprintConfig config;
   config.capacity = 100;
   HotspotFootprint fp(config);
-  for (uint64_t k = 0; k < 500; ++k) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
-  }
+  for (uint64_t k = 0; k < 500; ++k) RunSubtxn(fp, Keys({k}), 100, true);
   EXPECT_LE(fp.size(), 100u);
   EXPECT_GT(fp.evictions(), 0u);
   // The most recent keys survive.
@@ -155,11 +174,8 @@ TEST(FootprintTest, BusyRecordsNotEvicted) {
   FootprintConfig config;
   config.capacity = 10;
   HotspotFootprint fp(config);
-  fp.OnDispatch(Keys({777}));  // a_cnt = 1, never completed
-  for (uint64_t k = 0; k < 100; ++k) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
-  }
+  Dispatch(fp, Keys({777}));  // a_cnt = 1, never completed
+  for (uint64_t k = 0; k < 100; ++k) RunSubtxn(fp, Keys({k}), 100, true);
   ASSERT_NE(fp.Lookup(K(777)), nullptr);
   EXPECT_EQ(fp.Lookup(K(777))->a_cnt, 1);
   EXPECT_TRUE(fp.CheckInvariants());
@@ -168,8 +184,7 @@ TEST(FootprintTest, BusyRecordsNotEvicted) {
 TEST(FootprintTest, RangeScanOrdered) {
   HotspotFootprint fp;
   for (uint64_t k : {50u, 10u, 30u, 20u, 40u}) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    RunSubtxn(fp, Keys({k}), 100, true);
   }
   auto range = fp.Range(K(15), K(45));
   ASSERT_EQ(range.size(), 3u);
@@ -180,7 +195,7 @@ TEST(FootprintTest, RangeScanOrdered) {
 
 TEST(FootprintTest, RangeAcrossTables) {
   HotspotFootprint fp;
-  fp.OnDispatch({RecordKey{1, 5}, RecordKey{2, 5}});
+  Dispatch(fp, {RecordKey{1, 5}, RecordKey{2, 5}});
   auto range = fp.Range(RecordKey{1, 0}, RecordKey{1, 100});
   ASSERT_EQ(range.size(), 1u);
   EXPECT_EQ(range[0].first.table, 1u);
@@ -191,15 +206,14 @@ TEST(FootprintPropertyTest, RandomTrafficKeepsInvariants) {
   FootprintConfig config;
   config.capacity = 64;
   HotspotFootprint fp(config);
-  std::vector<RecordKey> outstanding;
+  std::vector<ChargedKey> outstanding;
   for (int step = 0; step < 30000; ++step) {
     const double action = rng.NextDouble();
     if (action < 0.5) {
       std::vector<RecordKey> keys;
       const int n = static_cast<int>(rng.NextU64(4)) + 1;
       for (int i = 0; i < n; ++i) keys.push_back(K(rng.NextU64(1000)));
-      fp.OnDispatch(keys);
-      for (const auto& k : keys) outstanding.push_back(k);
+      for (const auto& k : Dispatch(fp, keys)) outstanding.push_back(k);
     } else if (!outstanding.empty()) {
       const size_t idx = rng.NextU64(outstanding.size());
       fp.OnComplete({outstanding[idx]}, rng.NextU64(5000),
@@ -220,8 +234,7 @@ TEST(FootprintPropertyTest, HeavyEvictionChurn) {
   HotspotFootprint fp(config);
   for (int step = 0; step < 20000; ++step) {
     const uint64_t k = rng.NextU64(10000);
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    RunSubtxn(fp, Keys({k}), 100, true);
     if (step % 500 == 0) {
       ASSERT_TRUE(fp.CheckInvariants());
     }
@@ -423,7 +436,10 @@ TEST(FootprintPropertyTest, MatchesStdMapLruReference) {
       config.capacity = shape.capacity;
       HotspotFootprint fp(config);
       ReferenceFootprint ref(config);
-      std::vector<std::vector<RecordKey>> outstanding;
+      // Each in-flight dispatch: its keys (for the reference) and its
+      // charges (for the footprint).
+      std::vector<std::pair<std::vector<RecordKey>, std::vector<ChargedKey>>>
+          outstanding;
       size_t max_size = 0;
       for (int step = 1; step <= 12000; ++step) {
         const double action = rng.NextDouble();
@@ -440,20 +456,20 @@ TEST(FootprintPropertyTest, MatchesStdMapLruReference) {
             keys.push_back(RecordKey{static_cast<uint32_t>(1 + rng.NextU64(2)),
                                      rng.NextU64(shape.key_space)});
           }
-          fp.OnDispatch(keys);
+          auto charged = Dispatch(fp, keys);
           ref.OnDispatch(keys);
-          outstanding.push_back(std::move(keys));
+          outstanding.emplace_back(std::move(keys), std::move(charged));
         } else if (!outstanding.empty()) {
           const size_t idx = rng.NextU64(outstanding.size());
-          const std::vector<RecordKey> keys = std::move(outstanding[idx]);
+          const auto [keys, charged] = std::move(outstanding[idx]);
           outstanding.erase(outstanding.begin() + static_cast<long>(idx));
           if (rng.NextDouble() < 0.8) {
             const auto lel = static_cast<Micros>(rng.NextU64(20000));
             const bool committed = rng.NextBool(0.7);
-            fp.OnComplete(keys, lel, committed);
+            fp.OnComplete(charged, lel, committed);
             ref.OnComplete(keys, lel, committed);
           } else {
-            fp.OnRelease(keys);
+            fp.OnRelease(charged);
             ref.OnRelease(keys);
           }
         }
@@ -463,10 +479,9 @@ TEST(FootprintPropertyTest, MatchesStdMapLruReference) {
           if (::testing::Test::HasFailure()) return;
           // Eq. 5 and Eq. 9 over the last dispatched key set.
           if (!outstanding.empty()) {
-            EXPECT_EQ(fp.ForecastLel(outstanding.back()),
-                      ref.ForecastLel(outstanding.back()));
-            EXPECT_EQ(fp.AbortProbability(outstanding.back()),
-                      ref.AbortProbability(outstanding.back()));
+            const std::vector<RecordKey>& keys = outstanding.back().first;
+            EXPECT_EQ(Forecast(fp, keys), ref.ForecastLel(keys));
+            EXPECT_EQ(AbortProb(fp, keys), ref.AbortProbability(keys));
           }
         }
       }
@@ -477,10 +492,39 @@ TEST(FootprintPropertyTest, MatchesStdMapLruReference) {
   }
 }
 
+TEST(FootprintTest, ChargedSlotsSurviveEvictionPressure) {
+  FootprintConfig config;
+  config.capacity = 4;
+  HotspotFootprint fp(config);
+  const auto held = Dispatch(fp, Keys({1, 2, 3}));
+  // Hundreds of colder records churn through the one unpinned place.
+  for (uint64_t k = 100; k < 600; ++k) RunSubtxn(fp, Keys({k}), 100, true);
+  EXPECT_GT(fp.evictions(), 400u);
+  for (const ChargedKey& charged : held) {
+    const RecordStats* stats = fp.Lookup(charged.key);
+    ASSERT_NE(stats, nullptr) << charged.key.ToString();
+    EXPECT_EQ(stats->a_cnt, 1);
+  }
+  // The slots still address their records: completion lands on them.
+  fp.OnComplete(held, 3000, true);
+  for (const ChargedKey& charged : held) {
+    EXPECT_EQ(fp.Lookup(charged.key)->t_cnt, 1u);
+    EXPECT_EQ(fp.Lookup(charged.key)->a_cnt, 0);
+  }
+  EXPECT_TRUE(fp.CheckInvariants());
+  // Settled, they are ordinary LRU records again and get evicted.
+  for (uint64_t k = 600; k < 610; ++k) RunSubtxn(fp, Keys({k}), 100, true);
+  for (const ChargedKey& charged : held) {
+    EXPECT_EQ(fp.Lookup(charged.key), nullptr);
+  }
+  // A settled charge cannot be settled twice.
+  EXPECT_DEATH(fp.OnRelease(held), "lost its charge");
+}
+
 TEST(FootprintTest, ApproxBytesGrowsWithSize) {
   HotspotFootprint fp;
   const size_t empty = fp.ApproxBytes();
-  for (uint64_t k = 0; k < 100; ++k) fp.OnDispatch(Keys({k}));
+  for (uint64_t k = 0; k < 100; ++k) Dispatch(fp, Keys({k}));
   EXPECT_GT(fp.ApproxBytes(), empty);
 }
 

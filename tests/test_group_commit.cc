@@ -1,10 +1,15 @@
 // Group-commit tests: the GroupCommitter batching/durability state machine
 // in isolation, and its integration in the data-source prepare path —
 // batched prepares share one fsync, no waiter is acked before the shared
-// flush completes, and a crash loses exactly the open batch.
+// flush completes, and a crash loses exactly the open batch. Also the
+// simulated log device under it: completion order and counters.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "runtime/runtime.h"
 
 #include "sim/event_loop.h"
 #include "sim_fixture.h"
@@ -16,6 +21,30 @@ namespace {
 using storage::GroupCommitConfig;
 using storage::GroupCommitter;
 using testing_support::MiniCluster;
+
+TEST(SimStableStorageTest, OverlappingFlushesCompleteInDeadlineOrder) {
+  sim::EventLoop loop;
+  runtime::SimStableStorage device(&loop);
+  std::vector<std::pair<std::string, Micros>> done;
+  auto note = [&](const char* name) {
+    return [&done, &loop, name]() { done.emplace_back(name, loop.Now()); };
+  };
+  device.Flush("aaaa", 300, note("slow"));
+  device.Flush("bb", 100, [&]() {
+    done.emplace_back("fast", loop.Now());
+    // A completion may issue the next flush; it takes a freed slot.
+    device.Flush("c", 100, note("chained"));
+  });
+  device.Flush("", 100, note("barrier"));
+  EXPECT_EQ(device.fsyncs(), 0u);
+  EXPECT_EQ(device.bytes_flushed(), 6u);
+  loop.Run();
+  const std::vector<std::pair<std::string, Micros>> want = {
+      {"fast", 100}, {"barrier", 100}, {"chained", 200}, {"slow", 300}};
+  EXPECT_EQ(done, want);
+  EXPECT_EQ(device.fsyncs(), 4u);
+  EXPECT_EQ(device.bytes_flushed(), 7u);
+}
 
 TEST(GroupCommitterTest, SameTickAppendsShareOneFsync) {
   sim::EventLoop loop;

@@ -3,7 +3,12 @@
 // randomized property test checking structural invariants.
 #include "storage/lock_manager.h"
 
+#include <deque>
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -346,6 +351,373 @@ TEST(LockManagerPropertyTest, RandomTrafficKeepsInvariants) {
     EXPECT_EQ(lm.HoldersOn(K(k)), 0u);
     EXPECT_EQ(lm.WaitersOn(K(k)), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reference model: the lock manager as it stood on hash-node containers (an
+// unordered_map of lock states, each with an unordered_map of holders and a
+// std::deque queue). A seeded replay drives both managers with the same
+// calls and compares every observable: returned ids, the order and status of
+// every callback, per-key queries and the stats.
+// ---------------------------------------------------------------------------
+
+class ReferenceLockManager {
+ public:
+  LockRequestId RequestLock(const Xid& owner, const RecordKey& key,
+                            LockMode mode, LockCallback callback) {
+    LockState& state = locks_[key];
+    auto holder_it = state.holders.find(owner);
+    if (holder_it != state.holders.end()) {
+      if (holder_it->second == LockMode::kExclusive ||
+          mode == LockMode::kShared) {
+        stats_.grants_immediate++;
+        callback(Status::OK());
+        return kInvalidLockRequest;
+      }
+      if (state.holders.size() == 1) {
+        holder_it->second = LockMode::kExclusive;
+        state.mode = LockMode::kExclusive;
+        stats_.upgrades++;
+        stats_.grants_immediate++;
+        callback(Status::OK());
+        return kInvalidLockRequest;
+      }
+      std::unordered_set<RecordKey, RecordKeyHash> visited;
+      if (WouldDeadlock(owner, key, 0, &visited)) {
+        stats_.deadlocks++;
+        callback(Status::Aborted("deadlock victim"));
+        return kInvalidLockRequest;
+      }
+      const LockRequestId id = next_request_id_++;
+      state.queue.push_front(
+          Waiter{id, owner, LockMode::kExclusive, true, std::move(callback)});
+      parked_.emplace(id, key);
+      waiting_on_[owner] = key;
+      return id;
+    }
+    const bool compatible =
+        state.holders.empty() || Compatible(state.mode, mode);
+    if (compatible && state.queue.empty()) {
+      state.holders.emplace(owner, mode);
+      if (state.holders.size() == 1 || mode == LockMode::kExclusive) {
+        state.mode = state.holders.size() == 1 ? mode : LockMode::kShared;
+      }
+      held_by_owner_[owner].insert(key);
+      stats_.grants_immediate++;
+      callback(Status::OK());
+      return kInvalidLockRequest;
+    }
+    std::unordered_set<RecordKey, RecordKeyHash> visited;
+    if (WouldDeadlock(owner, key, 0, &visited)) {
+      stats_.deadlocks++;
+      callback(Status::Aborted("deadlock victim"));
+      return kInvalidLockRequest;
+    }
+    const LockRequestId id = next_request_id_++;
+    state.queue.push_back(Waiter{id, owner, mode, false, std::move(callback)});
+    parked_.emplace(id, key);
+    waiting_on_[owner] = key;
+    return id;
+  }
+
+  void CancelRequest(LockRequestId id, Status status) {
+    auto it = parked_.find(id);
+    if (it == parked_.end()) return;
+    const RecordKey key = it->second;
+    parked_.erase(it);
+    LockState& state = locks_.at(key);
+    for (auto qit = state.queue.begin(); qit != state.queue.end(); ++qit) {
+      if (qit->id == id) {
+        LockCallback cb = std::move(qit->callback);
+        waiting_on_.erase(qit->owner);
+        state.queue.erase(qit);
+        stats_.cancellations++;
+        std::vector<LockCallback> to_fire;
+        ProcessQueue(key, state, to_fire);
+        cb(status);
+        for (auto& fire : to_fire) fire(Status::OK());
+        return;
+      }
+    }
+  }
+
+  void ReleaseAll(const Xid& owner) {
+    auto owner_it = held_by_owner_.find(owner);
+    if (owner_it == held_by_owner_.end()) return;
+    std::vector<LockCallback> to_fire;
+    for (const RecordKey& key : owner_it->second) {
+      auto lock_it = locks_.find(key);
+      if (lock_it == locks_.end()) continue;
+      LockState& state = lock_it->second;
+      state.holders.erase(owner);
+      if (state.holders.empty() && state.queue.empty()) {
+        locks_.erase(lock_it);
+        continue;
+      }
+      ProcessQueue(key, state, to_fire);
+      if (state.holders.empty() && state.queue.empty()) locks_.erase(key);
+    }
+    held_by_owner_.erase(owner_it);
+    for (auto& fire : to_fire) fire(Status::OK());
+  }
+
+  bool Holds(const Xid& owner, const RecordKey& key, LockMode mode) const {
+    auto lock_it = locks_.find(key);
+    if (lock_it == locks_.end()) return false;
+    auto holder_it = lock_it->second.holders.find(owner);
+    if (holder_it == lock_it->second.holders.end()) return false;
+    return holder_it->second == LockMode::kExclusive ||
+           mode == LockMode::kShared;
+  }
+  size_t WaitersOn(const RecordKey& key) const {
+    auto lock_it = locks_.find(key);
+    return lock_it == locks_.end() ? 0 : lock_it->second.queue.size();
+  }
+  size_t HoldersOn(const RecordKey& key) const {
+    auto lock_it = locks_.find(key);
+    return lock_it == locks_.end() ? 0 : lock_it->second.holders.size();
+  }
+  const LockStats& stats() const { return stats_; }
+  size_t total_waiters() const { return parked_.size(); }
+
+ private:
+  struct Waiter {
+    LockRequestId id;
+    Xid owner;
+    LockMode mode;
+    bool is_upgrade;
+    LockCallback callback;
+  };
+  struct LockState {
+    LockMode mode = LockMode::kShared;
+    std::unordered_map<Xid, LockMode, XidHash> holders;
+    std::deque<Waiter> queue;
+  };
+
+  static bool Compatible(LockMode held, LockMode requested) {
+    return held == LockMode::kShared && requested == LockMode::kShared;
+  }
+
+  void ProcessQueue(const RecordKey& key, LockState& state,
+                    std::vector<LockCallback>& to_fire) {
+    while (!state.queue.empty()) {
+      Waiter& head = state.queue.front();
+      if (head.is_upgrade) {
+        if (state.holders.size() == 1 &&
+            state.holders.count(head.owner) == 1) {
+          state.holders[head.owner] = LockMode::kExclusive;
+          state.mode = LockMode::kExclusive;
+          stats_.upgrades++;
+          stats_.grants_after_wait++;
+          parked_.erase(head.id);
+          waiting_on_.erase(head.owner);
+          to_fire.push_back(std::move(head.callback));
+          state.queue.pop_front();
+          continue;
+        }
+        return;
+      }
+      const bool can_grant =
+          state.holders.empty() ||
+          (state.mode == LockMode::kShared && head.mode == LockMode::kShared);
+      if (!can_grant) return;
+      state.holders.emplace(head.owner, head.mode);
+      state.mode = head.mode == LockMode::kExclusive ? LockMode::kExclusive
+                                                     : LockMode::kShared;
+      held_by_owner_[head.owner].insert(key);
+      stats_.grants_after_wait++;
+      parked_.erase(head.id);
+      waiting_on_.erase(head.owner);
+      to_fire.push_back(std::move(head.callback));
+      state.queue.pop_front();
+      if (state.mode == LockMode::kExclusive) return;
+    }
+  }
+
+  bool WouldDeadlock(const Xid& requester, const RecordKey& key, int depth,
+                     std::unordered_set<RecordKey, RecordKeyHash>* visited)
+      const {
+    if (depth > 64) return false;
+    auto lock_it = locks_.find(key);
+    if (lock_it == locks_.end()) return false;
+    const LockState& state = lock_it->second;
+    if (depth > 0 && state.holders.count(requester) > 0) return true;
+    if (!visited->insert(key).second) return false;
+    const bool requester_is_upgrading =
+        depth == 0 && state.holders.count(requester) > 0;
+    auto follow = [&](const Xid& blocker) {
+      if (blocker == requester) return false;
+      auto wait_it = waiting_on_.find(blocker);
+      if (wait_it == waiting_on_.end()) return false;
+      return WouldDeadlock(requester, wait_it->second, depth + 1, visited);
+    };
+    for (const auto& [holder, mode] : state.holders) {
+      (void)mode;
+      if (follow(holder)) return true;
+    }
+    if (!requester_is_upgrading) {
+      for (const Waiter& waiter : state.queue) {
+        if (follow(waiter.owner)) return true;
+      }
+    }
+    return false;
+  }
+
+  std::unordered_map<RecordKey, LockState, RecordKeyHash> locks_;
+  std::unordered_map<LockRequestId, RecordKey> parked_;
+  std::unordered_map<Xid, RecordKey, XidHash> waiting_on_;
+  std::unordered_map<Xid, std::unordered_set<RecordKey, RecordKeyHash>,
+                     XidHash>
+      held_by_owner_;
+  LockRequestId next_request_id_ = 1;
+  LockStats stats_;
+};
+
+/// One fired callback: which request (by the replay's own tag) and how.
+struct Fired {
+  uint64_t tag;
+  StatusCode code;
+  bool operator==(const Fired& other) const {
+    return tag == other.tag && code == other.code;
+  }
+};
+
+void ExpectSameStats(const LockStats& got, const LockStats& want) {
+  EXPECT_EQ(got.grants_immediate, want.grants_immediate);
+  EXPECT_EQ(got.grants_after_wait, want.grants_after_wait);
+  EXPECT_EQ(got.cancellations, want.cancellations);
+  EXPECT_EQ(got.upgrades, want.upgrades);
+  EXPECT_EQ(got.deadlocks, want.deadlocks);
+}
+
+// Seeded mixes of shared, exclusive, re-entrant and upgrade requests on a
+// few hot keys (so most requests contend and some close wait cycles),
+// cancellations, and releases, with and without a parked request.
+TEST(LockManagerPropertyTest, MatchesHashNodeReference) {
+  struct Shape {
+    int txns;
+    uint64_t keys;
+  };
+  for (const Shape shape : {Shape{6, 3}, Shape{24, 8}, Shape{64, 40}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("txns " + std::to_string(shape.txns) + " keys " +
+                   std::to_string(shape.keys) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 104729 + static_cast<uint64_t>(shape.txns));
+      LockManager lm;
+      ReferenceLockManager ref;
+      std::vector<Fired> got_log;
+      std::vector<Fired> want_log;
+      // Per txn: the parked request's id in each manager, and its tag.
+      std::vector<LockRequestId> got_pending(shape.txns, kInvalidLockRequest);
+      std::vector<LockRequestId> want_pending(shape.txns, kInvalidLockRequest);
+      std::vector<uint64_t> pending_tag(shape.txns, 0);
+      std::map<uint64_t, size_t> txn_of_tag;
+      uint64_t next_tag = 1;
+      auto callback = [](std::vector<Fired>* log, uint64_t tag) {
+        return [log, tag](Status status) {
+          log->push_back({tag, status.code()});
+        };
+      };
+      for (int step = 0; step < 6000; ++step) {
+        const auto t = static_cast<size_t>(rng.NextU64(shape.txns));
+        const Xid owner = T(t);
+        const size_t fired_before = got_log.size();
+        const double action = rng.NextDouble();
+        if (action < 0.6) {
+          if (got_pending[t] != kInvalidLockRequest) continue;
+          const RecordKey key = K(rng.NextU64(shape.keys));
+          const LockMode mode =
+              rng.NextBool(0.5) ? LockMode::kShared : LockMode::kExclusive;
+          const uint64_t tag = next_tag++;
+          txn_of_tag[tag] = t;
+          const LockRequestId got =
+              lm.RequestLock(owner, key, mode, callback(&got_log, tag));
+          const LockRequestId want =
+              ref.RequestLock(owner, key, mode, callback(&want_log, tag));
+          ASSERT_EQ(got, want) << "step " << step;
+          got_pending[t] = got;
+          want_pending[t] = want;
+          pending_tag[t] = tag;
+        } else if (action < 0.75) {
+          // Commit/abort: the engine cancels a parked request first.
+          lm.CancelRequest(got_pending[t], Status::Aborted("rolled back"));
+          ref.CancelRequest(want_pending[t], Status::Aborted("rolled back"));
+          lm.ReleaseAll(owner);
+          ref.ReleaseAll(owner);
+        } else if (action < 0.8) {
+          // Release with the request still parked.
+          lm.ReleaseAll(owner);
+          ref.ReleaseAll(owner);
+        } else if (action < 0.9) {
+          // Lock-wait timeout (a no-op when nothing is parked).
+          lm.CancelRequest(got_pending[t], Status::TimedOut("lock wait"));
+          ref.CancelRequest(want_pending[t], Status::TimedOut("lock wait"));
+        } else {
+          // An id that was never handed out cancels nothing.
+          lm.CancelRequest(next_tag + 1000, Status::Aborted("stale"));
+          ref.CancelRequest(next_tag + 1000, Status::Aborted("stale"));
+        }
+        ASSERT_EQ(got_log, want_log) << "step " << step;
+        // A fired callback ends its txn's parked request.
+        for (size_t i = fired_before; i < got_log.size(); ++i) {
+          const size_t owner_txn = txn_of_tag.at(got_log[i].tag);
+          if (pending_tag[owner_txn] == got_log[i].tag) {
+            got_pending[owner_txn] = kInvalidLockRequest;
+            want_pending[owner_txn] = kInvalidLockRequest;
+          }
+        }
+        ASSERT_EQ(lm.total_waiters(), ref.total_waiters()) << "step " << step;
+        if (step % 50 == 0) {
+          for (uint64_t k = 0; k < shape.keys; ++k) {
+            ASSERT_EQ(lm.WaitersOn(K(k)), ref.WaitersOn(K(k)));
+            ASSERT_EQ(lm.HoldersOn(K(k)), ref.HoldersOn(K(k)));
+            for (int o = 0; o < shape.txns; ++o) {
+              for (LockMode mode : {LockMode::kShared, LockMode::kExclusive}) {
+                ASSERT_EQ(lm.Holds(T(o), K(k), mode),
+                          ref.Holds(T(o), K(k), mode))
+                    << "step " << step;
+              }
+            }
+          }
+          ExpectSameStats(lm.stats(), ref.stats());
+        }
+      }
+      ExpectSameStats(lm.stats(), ref.stats());
+      // The mix reached every outcome the replay is meant to compare.
+      EXPECT_GT(lm.stats().grants_after_wait, 0u);
+      EXPECT_GT(lm.stats().cancellations, 0u);
+      EXPECT_GT(lm.stats().upgrades, 0u);
+      EXPECT_GT(lm.stats().deadlocks, 0u);
+    }
+  }
+}
+
+TEST(LockManagerTest, RecycledLockStateStartsEmptyAndShared) {
+  LockManager lm;
+  Capture x, s1, s2, waiter;
+  // An exclusive holder with a parked waiter; releasing both retires the
+  // key's lock state.
+  lm.RequestLock(T(1), K(1), LockMode::kExclusive, x.Cb());
+  const LockRequestId id =
+      lm.RequestLock(T(2), K(1), LockMode::kExclusive, waiter.Cb());
+  lm.CancelRequest(id, Status::TimedOut("lock wait"));
+  lm.ReleaseAll(T(1));
+  EXPECT_EQ(lm.HoldersOn(K(1)), 0u);
+  EXPECT_EQ(lm.WaitersOn(K(1)), 0u);
+  // A new key takes the retired state: it must hold nobody, queue nobody,
+  // and grant two sharers at once.
+  EXPECT_EQ(lm.RequestLock(T(3), K(2), LockMode::kShared, s1.Cb()),
+            kInvalidLockRequest);
+  EXPECT_EQ(lm.RequestLock(T(4), K(2), LockMode::kShared, s2.Cb()),
+            kInvalidLockRequest);
+  EXPECT_TRUE(s1.fired && s1.status.ok());
+  EXPECT_TRUE(s2.fired && s2.status.ok());
+  EXPECT_EQ(lm.HoldersOn(K(2)), 2u);
+  EXPECT_EQ(lm.WaitersOn(K(2)), 0u);
+  EXPECT_FALSE(lm.Holds(T(1), K(2), LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(T(2), K(2), LockMode::kShared));
+  EXPECT_EQ(lm.total_waiters(), 0u);
 }
 
 }  // namespace

@@ -120,8 +120,8 @@ TEST(SchedulerTest, ForecastShiftsPostpone) {
   fx.SetRtt(2, MsToMicros(50));
   HotspotFootprint fp;
   for (int i = 0; i < 50; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, MsToMicros(20), true);  // w_lat -> ~20ms
+    fp.OnComplete({{K(1), fp.OnDispatch(K(1))}}, MsToMicros(20),
+                  true);  // w_lat -> ~20ms
   }
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
@@ -148,8 +148,7 @@ TEST(SchedulerTest, ForecastScaleDampens) {
   fx.SetRtt(2, MsToMicros(50));
   HotspotFootprint fp;
   for (int i = 0; i < 50; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, MsToMicros(20), true);
+    fp.OnComplete({{K(1), fp.OnDispatch(K(1))}}, MsToMicros(20), true);
   }
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
@@ -201,10 +200,9 @@ TEST(SchedulerTest, AdmissionBlocksHotTransactions) {
   HotspotFootprint fp;
   // Terrible success history + deep queue -> abort probability ~1.
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, i < 2);
+    fp.OnComplete({{K(1), fp.OnDispatch(K(1))}}, 100, i < 2);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) fp.OnDispatch(K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   config.admission.enabled = true;
@@ -223,10 +221,9 @@ TEST(SchedulerTest, AdmissionAbortsAfterRetryBudget) {
   fx.SetRtt(1, MsToMicros(10));
   HotspotFootprint fp;
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, false);
+    fp.OnComplete({{K(1), fp.OnDispatch(K(1))}}, 100, false);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) fp.OnDispatch(K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   config.admission.enabled = true;
@@ -245,10 +242,9 @@ TEST(SchedulerTest, AdmissionSkippedForNegativeAttempt) {
   fx.SetRtt(1, MsToMicros(10));
   HotspotFootprint fp;
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, false);
+    fp.OnComplete({{K(1), fp.OnDispatch(K(1))}}, 100, false);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) fp.OnDispatch(K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   config.admission.enabled = true;
