@@ -2,21 +2,27 @@
 // manager, engine operations (grant-apply-commit, park-cancel), hotspot
 // footprint (ordered index + LRU), geo-scheduler planning, event loop
 // (schedule/run, lock-wait schedule/cancel), network send/deliver, zipfian
-// sampling, and the key-ordered record store (point ops, bulk load,
-// committed range reads). These quantify the DM-side overheads the
+// sampling, the key-ordered record store (point ops, bulk load,
+// committed range reads), the WAN block codec on log-shipping sized
+// payloads, and group-commit record encoding. These quantify the DM-side overheads the
 // paper reports as negligible (Fig. 6c "analysis ~1ms" for a whole
 // transaction; the per-call costs here are sub-microsecond).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/compress.h"
 #include "common/random.h"
 #include "core/geo_scheduler.h"
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
+#include "protocol/wan_codec.h"
 #include "sim/network.h"
 #include "storage/engine.h"
+#include "storage/group_commit.h"
 #include "storage/lock_manager.h"
 #include "storage/record_store.h"
 
@@ -312,6 +318,66 @@ void BM_CommittedRangeChunk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommittedRangeChunk);
+
+/// `records` packed writes, the shape of a log-shipping batch's payload.
+std::string PackedWrites(int64_t records) {
+  Rng rng(8);
+  std::vector<protocol::ReplWrite> writes;
+  for (int64_t i = 0; i < records; ++i) {
+    writes.push_back(protocol::ReplWrite{RecordKey{1, rng.NextU64(1000000)},
+                                         static_cast<int64_t>(i % 100)});
+  }
+  return protocol::PackWrites(writes);
+}
+
+void BM_BlockCodecCompress(benchmark::State& state) {
+  const std::string raw = PackedWrites(state.range(0));
+  common::ICompressor* codec =
+      common::CompressorFor(common::WireCodec::kBlock);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec->Compress(
+        reinterpret_cast<const uint8_t*>(raw.data()), raw.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_BlockCodecCompress)->Arg(16)->Arg(512);
+
+void BM_BlockCodecDecompress(benchmark::State& state) {
+  const std::string raw = PackedWrites(state.range(0));
+  const std::string wire =
+      common::CompressorFor(common::WireCodec::kBlock)
+          ->Compress(reinterpret_cast<const uint8_t*>(raw.data()), raw.size());
+  common::IDecompressor* codec =
+      common::DecompressorFor(common::WireCodec::kBlock);
+  std::string out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec->Decompress(reinterpret_cast<const uint8_t*>(wire.data()),
+                          wire.size(), raw.size(), &out));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_BlockCodecDecompress)->Arg(16)->Arg(512);
+
+void BM_GroupCommitBatch(benchmark::State& state) {
+  // One group-commit batch of commit records: encode, flush, ack.
+  sim::EventLoop loop;
+  storage::GroupCommitter committer(&loop, storage::GroupCommitConfig());
+  const int64_t batch = state.range(0);
+  uint64_t txn = uint64_t{1} << 48;
+  int64_t acked = 0;
+  for (auto _ : state) {
+    for (int64_t i = 0; i < batch; ++i) {
+      committer.Append(1000, storage::LogRecord::Commit(Xid{++txn, 2}),
+                       [&acked]() { ++acked; });
+    }
+    loop.Run();
+  }
+  benchmark::DoNotOptimize(acked);
+}
+BENCHMARK(BM_GroupCommitBatch)->Arg(8);
 
 }  // namespace
 }  // namespace geotp

@@ -1,5 +1,6 @@
 #include "common/compress.h"
 
+#include <algorithm>
 #include <cstring>
 
 #ifdef GEOTP_WITH_ZSTD
@@ -41,12 +42,63 @@ inline uint32_t Hash32(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/// The match finder's hash table: the last position + 1 of each hash,
+/// or empty. Each slot is stamped with the call that wrote it, so a call
+/// starts from an empty table without clearing it — a slot from an
+/// earlier call reads as empty, as a zeroed one would. One table per
+/// thread: loopback actors compress concurrently.
+class MatchTable {
+ public:
+  /// Starts a call; every slot reads as empty afterwards.
+  void Begin() {
+    if (++call_ == 0) {  // the stamps wrapped: clear once, for real
+      for (Slot& slot : slots_) slot = Slot{};
+      call_ = 1;
+    }
+  }
+  /// Stores `pos_plus1` under `hash`; returns what the slot held in this
+  /// call (0 = nothing).
+  uint32_t Exchange(uint32_t hash, uint32_t pos_plus1) {
+    Slot& slot = slots_[hash];
+    const uint32_t previous = slot.call == call_ ? slot.pos_plus1 : 0;
+    slot = Slot{call_, pos_plus1};
+    return previous;
+  }
+
+ private:
+  struct Slot {
+    uint32_t call = 0;
+    uint32_t pos_plus1 = 0;
+  };
+  Slot slots_[1u << kHashBits];
+  uint32_t call_ = 0;
+};
+
 void PutExtLength(std::string* out, size_t extra) {
   while (extra >= 255) {
     out->push_back(static_cast<char>(255));
     extra -= 255;
   }
   out->push_back(static_cast<char>(extra));
+}
+
+/// Writes the `match` bytes that start `offset` bytes behind `dst`.
+inline void CopyMatch(char* dst, size_t offset, size_t match) {
+  const char* src = dst - offset;
+  if (offset >= match) {
+    std::memcpy(dst, src, match);
+    return;
+  }
+  // An offset shorter than the match repeats the produced tail
+  // (RLE-style): copy one period, then keep doubling the copied prefix.
+  // It stays a whole number of periods, so every copy reads bytes
+  // already written.
+  std::memcpy(dst, src, offset);
+  for (size_t copied = offset; copied < match;) {
+    const size_t n = std::min(copied, match - copied);
+    std::memcpy(dst + copied, dst, n);
+    copied += n;
+  }
 }
 
 class BlockCompressor : public ICompressor {
@@ -57,8 +109,8 @@ class BlockCompressor : public ICompressor {
     std::string out;
     if (len == 0) return out;
     out.reserve(len / 2 + 16);
-    uint32_t table[1u << kHashBits];  // position + 1; 0 = empty
-    std::memset(table, 0, sizeof(table));
+    thread_local MatchTable table;
+    table.Begin();
 
     const auto emit = [&](size_t lit_from, size_t lit_n, size_t match_len,
                           size_t offset) {
@@ -80,9 +132,8 @@ class BlockCompressor : public ICompressor {
     size_t anchor = 0;
     size_t ip = 0;
     while (ip + kMinMatch <= len) {
-      const uint32_t h = Hash32(Read32(data + ip));
-      const uint32_t cand_plus1 = table[h];
-      table[h] = static_cast<uint32_t>(ip + 1);
+      const uint32_t cand_plus1 = table.Exchange(
+          Hash32(Read32(data + ip)), static_cast<uint32_t>(ip + 1));
       if (cand_plus1 != 0) {
         const size_t cand = cand_plus1 - 1;
         const size_t offset = ip - cand;
@@ -114,8 +165,13 @@ class BlockDecompressor : public IDecompressor {
                   std::string* out) override {
     out->clear();
     if (expected_len > kMaxPayload) return false;
-    out->reserve(expected_len < (size_t{1} << 20) ? expected_len
-                                                  : size_t{1} << 20);
+    // No input byte yields more than 255 output bytes (a match-length
+    // extension byte), so a larger claim is malformed; the output is then
+    // sized once, in proportion to the frame, and written in place.
+    if (expected_len / 255 > len) return false;
+    out->resize(expected_len);
+    char* const base = &(*out)[0];
+    size_t op = 0;  // bytes produced
     size_t ip = 0;
     const auto read_ext = [&](size_t* value) -> bool {
       uint8_t b;
@@ -132,8 +188,9 @@ class BlockDecompressor : public IDecompressor {
       size_t lit = token >> 4;
       if (lit == 15 && !read_ext(&lit)) return false;
       if (lit > len - ip) return false;
-      if (lit > expected_len - out->size()) return false;
-      out->append(reinterpret_cast<const char*>(data) + ip, lit);
+      if (lit > expected_len - op) return false;
+      std::memcpy(base + op, data + ip, lit);
+      op += lit;
       ip += lit;
       if (ip == len) {
         // Stream ends after literals: the final sequence. A non-zero
@@ -146,18 +203,15 @@ class BlockDecompressor : public IDecompressor {
           static_cast<size_t>(data[ip]) |
           (static_cast<size_t>(data[ip + 1]) << 8);
       ip += 2;
-      if (offset == 0 || offset > out->size()) return false;
+      if (offset == 0 || offset > op) return false;
       size_t match = token & 0x0F;
       if (match == 15 && !read_ext(&match)) return false;
       match += kMinMatch;
-      if (match > expected_len - out->size()) return false;
-      // Byte-by-byte: offsets shorter than the match repeat the produced
-      // tail (RLE-style), so a bulk memcpy would read bytes not written
-      // yet.
-      const size_t src = out->size() - offset;
-      for (size_t i = 0; i < match; ++i) out->push_back((*out)[src + i]);
+      if (match > expected_len - op) return false;
+      CopyMatch(base + op, offset, match);
+      op += match;
     }
-    return ip == len && out->size() == expected_len;
+    return ip == len && op == expected_len;
   }
 };
 

@@ -177,21 +177,36 @@ std::vector<std::pair<RecordKey, RecordStats>> HotspotFootprint::Range(
   return out;
 }
 
+uint64_t HotspotFootprint::HeatSum(const RecordKey& lo,
+                                   const RecordKey& hi) const {
+  uint64_t total = 0;
+  for (auto it = index_.LowerBound(lo);
+       it != index_.end() && !(hi < it->first); ++it) {
+    total += slab_[it->second].stats.t_cnt;
+  }
+  return total;
+}
+
 HotspotFootprint::HeatHistogram HotspotFootprint::Histogram(
     const RecordKey& lo, const RecordKey& hi, size_t buckets) const {
   HeatHistogram hist;
   if (buckets == 0) return hist;
-  const auto records = Range(lo, hi);
-  if (records.empty()) return hist;
-  hist.extent_lo = records.front().first.key;
-  hist.extent_hi = records.back().first.key;
+  const auto first = index_.LowerBound(lo);
+  const auto in_range = [&hi, this](LeafMap<uint32_t>::const_iterator it) {
+    return it != index_.end() && !(hi < it->first);
+  };
+  if (!in_range(first)) return hist;
+  // Two walks of the range in place: the extent, then the buckets.
+  hist.extent_lo = first->first.key;
+  for (auto it = first; in_range(it); ++it) hist.extent_hi = it->first.key;
   hist.bucket_width = (hist.extent_hi - hist.extent_lo) / buckets + 1;
   hist.buckets.assign(buckets, 0);
-  for (const auto& [key, stats] : records) {
+  for (auto it = first; in_range(it); ++it) {
+    const uint64_t t_cnt = slab_[it->second].stats.t_cnt;
     const size_t b = std::min<uint64_t>(
-        (key.key - hist.extent_lo) / hist.bucket_width, buckets - 1);
-    hist.buckets[b] += stats.t_cnt;
-    hist.total += stats.t_cnt;
+        (it->first.key - hist.extent_lo) / hist.bucket_width, buckets - 1);
+    hist.buckets[b] += t_cnt;
+    hist.total += t_cnt;
   }
   return hist;
 }

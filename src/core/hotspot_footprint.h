@@ -120,6 +120,10 @@ class HotspotFootprint {
   std::vector<std::pair<RecordKey, RecordStats>> Range(
       const RecordKey& lo, const RecordKey& hi) const;
 
+  /// Sum of t_cnt over the tracked records in [lo, hi], read in place
+  /// (the ShardBalancer's per-range heat).
+  uint64_t HeatSum(const RecordKey& lo, const RecordKey& hi) const;
+
   /// Access-heat histogram over [lo, hi]: t_cnt totals in `buckets`
   /// equal-width buckets spanning the OBSERVED key extent (not the
   /// nominal range — a table's last shard chunk is open-ended). The

@@ -534,51 +534,76 @@ void DataSourceNode::SendExecuteResponse(ExecState& state, Status status,
   network_->Send(std::move(resp));
 }
 
+uint32_t DataSourceNode::NewDurableWait(const Xid& xid, NodeId coordinator,
+                                        bool one_phase, const char* span) {
+  DurableWait wait{xid, coordinator, one_phase, obs::kInvalidSpan};
+  if (obs::GlobalTracer().enabled()) {
+    const obs::TraceContext trace = BranchTrace(xid.txn_id);
+    if (trace.valid()) {
+      wait.fsync_span =
+          obs::GlobalTracer().BeginSpan(trace, span, id_, loop()->Now());
+    }
+  }
+  if (free_durable_waits_.empty()) {
+    durable_waits_.push_back(wait);
+    return static_cast<uint32_t>(durable_waits_.size() - 1);
+  }
+  const uint32_t slot = free_durable_waits_.back();
+  free_durable_waits_.pop_back();
+  durable_waits_[slot] = wait;
+  return slot;
+}
+
+DataSourceNode::DurableWait DataSourceNode::TakeDurableWait(uint32_t slot) {
+  const DurableWait wait = durable_waits_[slot];
+  free_durable_waits_.push_back(slot);
+  if (wait.fsync_span != obs::kInvalidSpan) {
+    obs::GlobalTracer().EndSpan(wait.fsync_span, loop()->Now());
+  }
+  return wait;
+}
+
 void DataSourceNode::OnPrepare(const Xid& xid, NodeId coordinator) {
   // Explicit prepare: the classic 2PC path, or the §III case of a source
   // that is not processing the transaction's last statement. The prepare
   // record joins the WAL device's open batch; the branch transitions (and
   // the vote goes out) only when the shared fsync completes.
   stats_.explicit_prepares++;
-  obs::SpanHandle fsync_span = obs::kInvalidSpan;
-  if (obs::GlobalTracer().enabled()) {
-    const obs::TraceContext trace = BranchTrace(xid.txn_id);
-    if (trace.valid()) {
-      fsync_span = obs::GlobalTracer().BeginSpan(trace, "ds.prepare_fsync",
-                                                 id_, loop()->Now());
-    }
-  }
+  const uint32_t wait = NewDurableWait(xid, coordinator, /*one_phase=*/false,
+                                       "ds.prepare_fsync");
   committer_.Append(config_.engine.prepare_fsync_cost,
-                    "PREPARE xid=" + xid.ToString() + "\n",
-                    [this, xid, coordinator, fsync_span]() {
-    if (fsync_span != obs::kInvalidSpan) {
-      obs::GlobalTracer().EndSpan(fsync_span, loop()->Now());
-    }
-    if (crashed_) return;
-    Status st = engine_.Prepare(xid, loop()->Now());
-    if (st.ok()) {
-      // Vote only after the prepare record is quorum-durable on the
-      // replica group (no-op without replication).
-      AfterLocalPrepare(xid, coordinator, [this, xid, coordinator]() {
-        if (crashed_) return;
-        auto vote = std::make_unique<VoteMessage>();
-        vote->from = id_;
-        vote->to = coordinator;
-        vote->xid = xid;
-        vote->vote = Vote::kPrepared;
-        network_->Send(std::move(vote));
-      });
-      return;
-    }
-    auto vote = std::make_unique<VoteMessage>();
-    vote->from = id_;
-    vote->to = coordinator;
-    vote->xid = xid;
-    vote->vote = Vote::kFailure;
-    (void)engine_.Rollback(xid, loop()->Now());
-    branches_.erase(xid.txn_id);
-    network_->Send(std::move(vote));
-  });
+                    storage::LogRecord::Prepare(xid),
+                    [this, wait]() { OnPrepareDurable(wait); });
+}
+
+void DataSourceNode::OnPrepareDurable(uint32_t slot) {
+  const DurableWait wait = TakeDurableWait(slot);
+  if (crashed_) return;
+  const Xid xid = wait.xid;
+  const NodeId coordinator = wait.coordinator;
+  Status st = engine_.Prepare(xid, loop()->Now());
+  if (st.ok()) {
+    // Vote only after the prepare record is quorum-durable on the
+    // replica group (no-op without replication).
+    AfterLocalPrepare(xid, coordinator, [this, xid, coordinator]() {
+      if (crashed_) return;
+      auto vote = std::make_unique<VoteMessage>();
+      vote->from = id_;
+      vote->to = coordinator;
+      vote->xid = xid;
+      vote->vote = Vote::kPrepared;
+      network_->Send(std::move(vote));
+    });
+    return;
+  }
+  auto vote = std::make_unique<VoteMessage>();
+  vote->from = id_;
+  vote->to = coordinator;
+  vote->xid = xid;
+  vote->vote = Vote::kFailure;
+  (void)engine_.Rollback(xid, loop()->Now());
+  branches_.erase(xid.txn_id);
+  network_->Send(std::move(vote));
 }
 
 void DataSourceNode::OnDecision(const DecisionItem& item,
@@ -612,86 +637,11 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
     }
     // The commit record shares the WAL device's flush with any concurrent
     // prepare/commit records (group commit).
-    obs::SpanHandle fsync_span = obs::kInvalidSpan;
-    if (obs::GlobalTracer().enabled()) {
-      const obs::TraceContext trace = BranchTrace(xid.txn_id);
-      if (trace.valid()) {
-        fsync_span = obs::GlobalTracer().BeginSpan(trace, "ds.commit_fsync",
-                                                   id_, loop()->Now());
-      }
-    }
-    committer_.Append(
-        config_.engine.commit_fsync_cost,
-        "COMMIT xid=" + xid.ToString() + "\n",
-        [this, xid, coordinator, one_phase, fsync_span]() {
-          if (fsync_span != obs::kInvalidSpan) {
-            obs::GlobalTracer().EndSpan(fsync_span, loop()->Now());
-          }
-          if (crashed_) return;
-          auto finish = [this, xid, coordinator, one_phase]() {
-            if (crashed_) return;
-            // Capture the write set before Commit releases it: an active
-            // outbound migration forwards the intersecting writes to the
-            // shard's destination as deltas.
-            std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
-            if (migrator_->WantsCommittedWrites()) {
-              migrating_writes = engine_.WriteSetOf(xid);
-            }
-            Status st = engine_.Commit(xid, loop()->Now());
-            if (!st.ok() && replicator_ != nullptr &&
-                replicator_->CommitEntryIndex(xid.txn_id).has_value()) {
-              // The branch already committed through the replicated log
-              // (apply callback raced a duplicate decision): success.
-              st = Status::OK();
-            }
-            if (st.ok()) {
-              stats_.commits++;
-              migrator_->OnCommittedWrites(migrating_writes);
-            }
-            branches_.erase(xid.txn_id);
-            migrator_->OnBranchResolved();
-            auto ack = std::make_unique<DecisionAck>();
-            ack->from = id_;
-            ack->to = coordinator;
-            ack->xid = xid;
-            ack->committed = st.ok();
-            ack->one_phase = one_phase;
-            ack->status = std::move(st);
-            network_->Send(std::move(ack));
-          };
-          const storage::TxnState state = engine_.StateOf(xid);
-          const bool committable =
-              (state == storage::TxnState::kActive ||
-               state == storage::TxnState::kPrepared) &&
-              !engine_.HasPendingOp(xid);
-          if (replicator_ != nullptr && replicator_->IsLeader() &&
-              committable) {
-            // Quorum-replicate the commit (with its write set) before the
-            // local commit becomes durable and is acknowledged.
-            obs::SpanHandle quorum = obs::kInvalidSpan;
-            if (obs::GlobalTracer().enabled()) {
-              const obs::TraceContext trace = BranchTrace(xid.txn_id);
-              if (trace.valid()) {
-                quorum = obs::GlobalTracer().BeginSpan(
-                    trace, "ds.commit_quorum", id_, loop()->Now());
-              }
-            }
-            std::vector<protocol::ReplWrite> writes;
-            for (const auto& [key, value] : engine_.WriteSetOf(xid)) {
-              writes.push_back(protocol::ReplWrite{key, value});
-            }
-            replicator_->ReplicateCommit(
-                xid, std::move(writes),
-                [this, quorum, finish = std::move(finish)]() {
-                  if (quorum != obs::kInvalidSpan) {
-                    obs::GlobalTracer().EndSpan(quorum, loop()->Now());
-                  }
-                  finish();
-                });
-          } else {
-            finish();
-          }
-        });
+    const uint32_t wait = NewDurableWait(xid, coordinator, one_phase,
+                                         "ds.commit_fsync");
+    committer_.Append(config_.engine.commit_fsync_cost,
+                      storage::LogRecord::Commit(xid),
+                      [this, wait]() { OnCommitDurable(wait); });
   } else {
     (void)engine_.Rollback(xid, loop()->Now());
     NoteLocalRollback(xid.txn_id);
@@ -705,6 +655,75 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
     ack->committed = false;
     ack->status = Status::OK();
     network_->Send(std::move(ack));
+  }
+}
+
+void DataSourceNode::OnCommitDurable(uint32_t slot) {
+  const DurableWait wait = TakeDurableWait(slot);
+  const Xid xid = wait.xid;
+  const NodeId coordinator = wait.coordinator;
+  const bool one_phase = wait.one_phase;
+  if (crashed_) return;
+  auto finish = [this, xid, coordinator, one_phase]() {
+    if (crashed_) return;
+    // Capture the write set before Commit releases it: an active outbound
+    // migration forwards the intersecting writes to the shard's
+    // destination as deltas.
+    std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
+    if (migrator_->WantsCommittedWrites()) {
+      migrating_writes = engine_.WriteSetOf(xid);
+    }
+    Status st = engine_.Commit(xid, loop()->Now());
+    if (!st.ok() && replicator_ != nullptr &&
+        replicator_->CommitEntryIndex(xid.txn_id).has_value()) {
+      // The branch already committed through the replicated log (apply
+      // callback raced a duplicate decision): success.
+      st = Status::OK();
+    }
+    if (st.ok()) {
+      stats_.commits++;
+      migrator_->OnCommittedWrites(migrating_writes);
+    }
+    branches_.erase(xid.txn_id);
+    migrator_->OnBranchResolved();
+    auto ack = std::make_unique<DecisionAck>();
+    ack->from = id_;
+    ack->to = coordinator;
+    ack->xid = xid;
+    ack->committed = st.ok();
+    ack->one_phase = one_phase;
+    ack->status = std::move(st);
+    network_->Send(std::move(ack));
+  };
+  const storage::TxnState state = engine_.StateOf(xid);
+  const bool committable = (state == storage::TxnState::kActive ||
+                            state == storage::TxnState::kPrepared) &&
+                           !engine_.HasPendingOp(xid);
+  if (replicator_ != nullptr && replicator_->IsLeader() && committable) {
+    // Quorum-replicate the commit (with its write set) before the local
+    // commit becomes durable and is acknowledged.
+    obs::SpanHandle quorum = obs::kInvalidSpan;
+    if (obs::GlobalTracer().enabled()) {
+      const obs::TraceContext trace = BranchTrace(xid.txn_id);
+      if (trace.valid()) {
+        quorum = obs::GlobalTracer().BeginSpan(
+            trace, "ds.commit_quorum", id_, loop()->Now());
+      }
+    }
+    std::vector<protocol::ReplWrite> writes;
+    for (const auto& [key, value] : engine_.WriteSetOf(xid)) {
+      writes.push_back(protocol::ReplWrite{key, value});
+    }
+    replicator_->ReplicateCommit(
+        xid, std::move(writes),
+        [this, quorum, finish = std::move(finish)]() {
+          if (quorum != obs::kInvalidSpan) {
+            obs::GlobalTracer().EndSpan(quorum, loop()->Now());
+          }
+          finish();
+        });
+  } else {
+    finish();
   }
 }
 
@@ -780,6 +799,8 @@ void DataSourceNode::Crash() {
   // The WAL device's open batch dies with the node: entries waiting for a
   // group-commit fsync were never durable, so their waiters must not fire.
   committer_.Reset();
+  durable_waits_.clear();
+  free_durable_waits_.clear();
   // Data sources abort every branch that has not completed the prepare
   // phase (paper §V-A common setting ❷).
   engine_.Crash(loop()->Now());

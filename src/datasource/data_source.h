@@ -225,6 +225,27 @@ class DataSourceNode {
 
   friend class replication::Replicator;
 
+  /// A WAL record waiting for its group-commit fsync, with what its
+  /// continuation needs. Waits live in the `durable_waits_` slab, so each
+  /// committer callback captures only [this, slot] and fits
+  /// std::function's inline buffer. Crash() frees every slot: the
+  /// committer's Reset() runs no callback of the batches it drops.
+  struct DurableWait {
+    Xid xid;
+    NodeId coordinator = kInvalidNode;
+    bool one_phase = false;  ///< commit record of an XA one-phase commit
+    obs::SpanHandle fsync_span = obs::kInvalidSpan;  ///< sampled branches
+  };
+  /// Takes a slot for `xid`'s record and, when the branch is sampled,
+  /// opens its fsync span `span`.
+  uint32_t NewDurableWait(const Xid& xid, NodeId coordinator, bool one_phase,
+                          const char* span);
+  /// Frees the slot and closes its span: the record is durable.
+  DurableWait TakeDurableWait(uint32_t slot);
+  /// Continuations of the explicit prepare and of the commit record.
+  void OnPrepareDurable(uint32_t slot);
+  void OnCommitDurable(uint32_t slot);
+
   /// Reports prepare durability: with replication, the vote is delivered
   /// once the prepare entry reaches a quorum; without, immediately.
   void AfterLocalPrepare(const Xid& xid, NodeId coordinator,
@@ -283,6 +304,8 @@ class DataSourceNode {
   std::unordered_map<TxnId, BranchInfo> branches_;
   std::vector<ExecState> execs_;
   std::vector<uint32_t> free_execs_;
+  std::vector<DurableWait> durable_waits_;
+  std::vector<uint32_t> free_durable_waits_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
   std::vector<std::unique_ptr<runtime::MessageBase>> parked_;

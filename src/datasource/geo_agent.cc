@@ -20,7 +20,7 @@ void GeoAgent::AsyncPrepare(const Xid& xid, const std::vector<NodeId>& peers,
   // WAN round trip the DM-driven prepare would cost, §IV-A).
   const bool centralized = peers.empty();
   const Micros lan_cost = node->config().agent_lan_rtt;
-  node->loop()->Schedule(lan_cost, [this, node, xid, peers, coordinator,
+  node->loop()->Schedule(lan_cost, [this, node, xid, coordinator,
                                     centralized]() {
     if (node->crashed()) return;
     if (centralized) {
@@ -37,53 +37,53 @@ void GeoAgent::AsyncPrepare(const Xid& xid, const std::vector<NodeId>& peers,
     }
     // The prepare record joins the WAL device's open batch; the branch
     // transitions (and the vote goes out) at the shared fsync completion.
-    obs::SpanHandle fsync_span = obs::kInvalidSpan;
-    if (obs::GlobalTracer().enabled()) {
-      const obs::TraceContext trace = node->BranchTrace(xid.txn_id);
-      if (trace.valid()) {
-        fsync_span = obs::GlobalTracer().BeginSpan(
-            trace, "ds.prepare_fsync", node->id(), node->loop()->Now());
-      }
-    }
-    node->committer().Append(
-        node->config().engine.prepare_fsync_cost,
-        "PREPARE xid=" + xid.ToString() + "\n",
-        [this, node, xid, peers, coordinator, fsync_span]() {
-          if (fsync_span != obs::kInvalidSpan) {
-            obs::GlobalTracer().EndSpan(fsync_span, node->loop()->Now());
-          }
-          if (node->crashed()) return;
-          if (node->engine().StateOf(xid) != storage::TxnState::kActive) {
-            // Rolled back while the prepare was in flight (early abort
-            // from a peer); the rollback path already reported to the DM.
-            return;
-          }
-          Status st = node->engine().Prepare(xid, node->loop()->Now());
-          if (st.ok()) {
-            node->stats_.decentralized_prepares++;
-            // With replication, the PREPARED vote waits until the prepare
-            // entry (and its write set) is durable on a group quorum.
-            node->AfterLocalPrepare(
-                xid, coordinator, [node, xid, coordinator]() {
-                  if (node->crashed()) return;
-                  auto gated_vote = std::make_unique<VoteMessage>();
-                  gated_vote->from = node->id();
-                  gated_vote->to = coordinator;
-                  gated_vote->xid = xid;
-                  gated_vote->vote = Vote::kPrepared;
-                  node->network()->Send(std::move(gated_vote));
-                });
-          } else {
-            auto vote = std::make_unique<VoteMessage>();
-            vote->from = node->id();
-            vote->to = coordinator;
-            vote->xid = xid;
-            vote->vote = Vote::kFailure;
-            node->network()->Send(std::move(vote));
-            AsyncRollback(xid, peers, coordinator, /*notify_dm=*/false);
-          }
-        });
+    const uint32_t wait = node->NewDurableWait(
+        xid, coordinator, /*one_phase=*/false, "ds.prepare_fsync");
+    node->committer().Append(node->config().engine.prepare_fsync_cost,
+                             storage::LogRecord::Prepare(xid),
+                             [this, wait]() { OnPrepareDurable(wait); });
   });
+}
+
+void GeoAgent::OnPrepareDurable(uint32_t slot) {
+  DataSourceNode* node = node_;
+  const DataSourceNode::DurableWait wait = node->TakeDurableWait(slot);
+  if (node->crashed()) return;
+  const Xid xid = wait.xid;
+  const NodeId coordinator = wait.coordinator;
+  if (node->engine().StateOf(xid) != storage::TxnState::kActive) {
+    // Rolled back while the prepare was in flight (early abort from a
+    // peer); the rollback path already reported to the DM.
+    return;
+  }
+  Status st = node->engine().Prepare(xid, node->loop()->Now());
+  if (st.ok()) {
+    node->stats_.decentralized_prepares++;
+    // With replication, the PREPARED vote waits until the prepare entry
+    // (and its write set) is durable on a group quorum.
+    node->AfterLocalPrepare(xid, coordinator, [node, xid, coordinator]() {
+      if (node->crashed()) return;
+      auto gated_vote = std::make_unique<VoteMessage>();
+      gated_vote->from = node->id();
+      gated_vote->to = coordinator;
+      gated_vote->xid = xid;
+      gated_vote->vote = Vote::kPrepared;
+      node->network()->Send(std::move(gated_vote));
+    });
+    return;
+  }
+  auto vote = std::make_unique<VoteMessage>();
+  vote->from = node->id();
+  vote->to = coordinator;
+  vote->xid = xid;
+  vote->vote = Vote::kFailure;
+  node->network()->Send(std::move(vote));
+  // The branch is still active, so its BranchInfo holds the peers
+  // AsyncPrepare started with.
+  std::vector<NodeId> peers;
+  const auto branch = node->branches_.find(xid.txn_id);
+  if (branch != node->branches_.end()) peers = branch->second.peers;
+  AsyncRollback(xid, peers, coordinator, /*notify_dm=*/false);
 }
 
 void GeoAgent::AsyncRollback(const Xid& xid, const std::vector<NodeId>& peers,

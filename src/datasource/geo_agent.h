@@ -64,6 +64,10 @@ class GeoAgent {
   const GeoAgentStats& stats() const { return stats_; }
 
  private:
+  /// The decentralized prepare record of a DataSourceNode durable wait
+  /// reached the disk: prepare the branch and vote.
+  void OnPrepareDurable(uint32_t slot);
+
   DataSourceNode* node_;
   GeoAgentStats stats_;
   std::unordered_set<TxnId> tombstones_;

@@ -737,7 +737,7 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
   }
   log_committer_.Append(
       config_.log_flush_cost,
-      "DECISION txn=" + std::to_string(id) + (commit ? " C\n" : " A\n"),
+      storage::LogRecord::Decision(id, commit),
       [this, id, commit]() {
     Txn* txn = FindTxn(id);
     if (txn == nullptr) return;

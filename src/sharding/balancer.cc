@@ -108,11 +108,8 @@ bool ShardBalancer::Migrating(const ShardRange& range) const {
 }
 
 uint64_t ShardBalancer::FootprintCount(const ShardRange& range) const {
-  uint64_t total = 0;
-  const auto records = dm_->footprint().Range(
-      RecordKey{range.table, range.lo}, RecordKey{range.table, range.hi - 1});
-  for (const auto& [key, stats] : records) total += stats.t_cnt;
-  return total;
+  return dm_->footprint().HeatSum(RecordKey{range.table, range.lo},
+                                  RecordKey{range.table, range.hi - 1});
 }
 
 void ShardBalancer::SeedSpan(const ShardRange& range) {

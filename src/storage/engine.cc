@@ -110,7 +110,7 @@ void TransactionEngine::CancelPendingOp(const Xid& xid, Status status) {
   locks_.CancelRequest(id, std::move(status));
 }
 
-Status TransactionEngine::Prepare(const Xid& xid, Micros now) {
+Status TransactionEngine::Prepare(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("prepare: unknown branch " + xid.ToString());
@@ -122,7 +122,7 @@ Status TransactionEngine::Prepare(const Xid& xid, Micros now) {
     return Status::Aborted("prepare: operation still in flight");
   }
   data->state = TxnState::kPrepared;
-  wal_.Append(WalEntryType::kPrepare, xid, now);
+  wal_.NoteAppend();
   return Status::OK();
 }
 
@@ -177,7 +177,7 @@ std::vector<std::pair<RecordKey, int64_t>> TransactionEngine::CommittedRange(
 
 Status TransactionEngine::InstallPreparedBranch(
     const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes,
-    Micros now) {
+    Micros /*now*/) {
   GEOTP_RETURN_NOT_OK(Begin(xid));
   TxnData* data = Find(xid);
   for (const auto& [key, value] : writes) {
@@ -194,11 +194,11 @@ Status TransactionEngine::InstallPreparedBranch(
     record.value = value;
   }
   data->state = TxnState::kPrepared;
-  wal_.Append(WalEntryType::kPrepare, xid, now);
+  wal_.NoteAppend();
   return Status::OK();
 }
 
-Status TransactionEngine::Commit(const Xid& xid, Micros now) {
+Status TransactionEngine::Commit(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("commit: unknown branch " + xid.ToString());
@@ -210,12 +210,12 @@ Status TransactionEngine::Commit(const Xid& xid, Micros now) {
   if (data->pending_request != kInvalidLockRequest) {
     return Status::Aborted("commit: operation still in flight");
   }
-  wal_.Append(WalEntryType::kCommit, xid, now);
+  wal_.NoteAppend();
   Finish(xid, *data, TxnState::kCommitted);
   return Status::OK();
 }
 
-Status TransactionEngine::Rollback(const Xid& xid, Micros now) {
+Status TransactionEngine::Rollback(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) return Status::OK();  // idempotent
   if (data->state == TxnState::kCommitted) {
@@ -233,7 +233,7 @@ Status TransactionEngine::Rollback(const Xid& xid, Micros now) {
   for (auto it = data->undo.rbegin(); it != data->undo.rend(); ++it) {
     store_.Apply(it->key, it->old_value);
   }
-  wal_.Append(WalEntryType::kAbort, xid, now);
+  wal_.NoteAppend();
   Finish(xid, *data, TxnState::kAborted);
   return Status::OK();
 }

@@ -13,8 +13,9 @@
 // commit used for centralized transactions.
 //
 // The engine is time-free: durations (execution cost, fsync cost) are a
-// *cost model* the data-source node charges on the event loop. Only lock
-// waits are asynchronous here, surfaced through callbacks.
+// *cost model* the data-source node charges on the event loop, and the
+// `now` its transitions take is not stored. Only lock waits are
+// asynchronous here, surfaced through callbacks.
 #ifndef GEOTP_STORAGE_ENGINE_H_
 #define GEOTP_STORAGE_ENGINE_H_
 
@@ -78,6 +79,7 @@ class TransactionEngine {
   RecordStore& store() { return store_; }
   const RecordStore& store() const { return store_; }
   LockManager& locks() { return locks_; }
+  /// Record and fsync counters. Whether a branch is in doubt is StateOf().
   const Wal& wal() const { return wal_; }
 
   /// Reports one physical WAL fsync (the data-source node's GroupCommitter
@@ -101,7 +103,7 @@ class TransactionEngine {
   /// decides whether to roll back.
   void CancelPendingOp(const Xid& xid, Status status);
 
-  /// XA prepare: persists the branch (WAL entry). ACTIVE -> PREPARED.
+  /// XA prepare: persists the branch (a WAL record). ACTIVE -> PREPARED.
   /// Fails with kAborted if there is a pending (unfinished) operation.
   Status Prepare(const Xid& xid, Micros now);
 

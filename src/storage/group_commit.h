@@ -5,7 +5,8 @@
 // batch durable (InnoDB group commit, PostgreSQL commit_delay). This class
 // models that pipeline on the simulated event loop:
 //
-//   * Append(cost, on_durable) joins the open batch. The batch's flush is
+//   * Append(cost, record, on_durable) encodes the record straight into
+//     the open batch's bytes and joins the batch. The batch's flush is
 //     scheduled when the batch opens — after `max_batch_delay` (0 still
 //     coalesces every append from the same event-loop tick) — or starts
 //     early once `max_batch_size` entries joined.
@@ -35,6 +36,34 @@
 
 namespace geotp {
 namespace storage {
+
+/// What one log record says. The committer encodes it into the device
+/// bytes, one text line per record, when it joins a batch; no caller
+/// formats or keeps a string.
+struct LogRecord {
+  enum class Kind : uint8_t {
+    kBarrier,   ///< no bytes: a bare durability wait
+    kPrepare,   ///< "PREPARE xid=xid(<txn>,<source>)\n"
+    kCommit,    ///< "COMMIT xid=xid(<txn>,<source>)\n"
+    kDecision,  ///< "DECISION txn=<txn> C\n" (commit) or "... A\n"
+  };
+  Kind kind = Kind::kBarrier;
+  bool commit = false;  ///< kDecision: the DM's commit/abort decision
+  Xid xid;              ///< kDecision uses xid.txn_id only
+
+  static LogRecord Prepare(const Xid& xid) {
+    return LogRecord{Kind::kPrepare, false, xid};
+  }
+  static LogRecord Commit(const Xid& xid) {
+    return LogRecord{Kind::kCommit, false, xid};
+  }
+  static LogRecord Decision(TxnId txn, bool commit) {
+    return LogRecord{Kind::kDecision, commit, Xid{txn, kInvalidNode}};
+  }
+
+  /// Appends the record's bytes to `out`.
+  void EncodeTo(std::string* out) const;
+};
 
 struct GroupCommitConfig {
   /// false: one independent fsync per entry (legacy per-txn schedule).
@@ -80,13 +109,13 @@ class GroupCommitter {
 
   /// Joins the open batch. `fsync_cost` is this entry's device time if it
   /// flushed alone; the shared flush charges the max across the batch.
-  /// `payload` is the entry's durable bytes (written to the device as part
-  /// of the shared flush). `on_durable` runs when that flush completes,
-  /// never earlier.
-  void Append(Micros fsync_cost, std::string payload,
+  /// `record` is encoded into the batch's bytes (written to the device by
+  /// the shared flush). `on_durable` runs when that flush completes, never
+  /// earlier.
+  void Append(Micros fsync_cost, const LogRecord& record,
               DurableCallback on_durable);
   void Append(Micros fsync_cost, DurableCallback on_durable) {
-    Append(fsync_cost, std::string(), std::move(on_durable));
+    Append(fsync_cost, LogRecord(), std::move(on_durable));
   }
 
   /// Crash: drops the open batch and the in-flight flush without running
@@ -103,7 +132,8 @@ class GroupCommitter {
  private:
   struct Entry {
     Micros cost;
-    std::string payload;
+    /// End of this entry's record in `open_bytes_` while the entry is open.
+    size_t bytes_end;
     DurableCallback on_durable;
   };
 
@@ -115,8 +145,11 @@ class GroupCommitter {
   std::unique_ptr<runtime::IStableStorage> owned_device_;
   GroupCommitConfig config_;
   std::function<void()> on_fsync_;
+  /// The open and in-flight batches trade buffers instead of moving them
+  /// away, so neither regrows from empty once warm.
   std::vector<Entry> open_;       ///< batch accepting new entries
   std::vector<Entry> in_flight_;  ///< batch whose flush is on the device
+  std::string open_bytes_;        ///< encoded records of `open_`
   bool flushing_ = false;
   runtime::TimerId open_timer_ = runtime::kInvalidTimer;
   /// Bumped by Reset() so stale scheduled events become no-ops.

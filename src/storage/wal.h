@@ -1,50 +1,37 @@
-// Write-ahead-log cost model and durable-state journal.
+// Write-ahead-log accounting of one engine.
 //
 // Real data sources pay an fsync on XA PREPARE and on COMMIT. In the
-// simulation the *time* cost is charged by the data-source node (it
-// schedules the fsync duration on the event loop); this class records the
-// durable entries so the recovery tests can check what survives a crash.
+// simulation the *time* cost is charged by the data-source node (its
+// GroupCommitter flushes the records to the WAL device); this class only
+// counts. Which branches are prepared and unresolved is the engine's
+// branch state (TransactionEngine::StateOf / PreparedXids), so nothing
+// here grows with the number of transactions.
 #ifndef GEOTP_STORAGE_WAL_H_
 #define GEOTP_STORAGE_WAL_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "common/types.h"
 
 namespace geotp {
 namespace storage {
 
-enum class WalEntryType : uint8_t { kPrepare, kCommit, kAbort };
-
-struct WalEntry {
-  WalEntryType type;
-  Xid xid;
-  Micros at;  ///< virtual time of the fsync completion
-};
-
 class Wal {
  public:
-  /// Appends (buffers) an entry. Appending alone is NOT durability: the
-  /// entry reaches the disk at the next fsync, which the owner reports via
-  /// NoteFsync(). Under group commit many entries share one fsync, so the
-  /// two counters diverge — Fig. 6 resource accounting needs both.
-  void Append(WalEntryType type, const Xid& xid, Micros at) {
-    entries_.push_back(WalEntry{type, xid, at});
-  }
+  /// Counts one appended (buffered) record: prepare, commit or abort.
+  /// Appending alone is NOT durability: the record reaches the disk at the
+  /// next fsync, which the owner reports via NoteFsync(). Under group
+  /// commit many records share one fsync, so the two counters diverge —
+  /// Fig. 6 resource accounting needs both.
+  void NoteAppend() { ++appended_; }
 
   /// Records one physical log-device flush (possibly covering many
-  /// appended entries).
+  /// appended records).
   void NoteFsync() { ++fsyncs_; }
 
-  const std::vector<WalEntry>& entries() const { return entries_; }
+  uint64_t appended() const { return appended_; }
   uint64_t fsyncs() const { return fsyncs_; }
 
-  /// True if a prepare entry exists for `xid` with no later commit/abort.
-  bool IsPreparedUnresolved(const Xid& xid) const;
-
  private:
-  std::vector<WalEntry> entries_;
+  uint64_t appended_ = 0;
   uint64_t fsyncs_ = 0;
 };
 

@@ -187,7 +187,7 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
   result.footprint_bytes = dm.footprint().ApproxBytes();
   for (const auto& src : sources) {
     result.run_queue_rejections += src->stats().run_queue_rejections;
-    result.wal_entries += src->engine().wal().entries().size();
+    result.wal_entries += src->engine().wal().appended();
     result.wal_fsyncs += src->engine().wal().fsyncs();
     const storage::GroupCommitStats& gc = src->committer().stats();
     result.group_commit.fsyncs += gc.fsyncs;

@@ -29,6 +29,7 @@ using common::DecodePayload;
 using common::EncodePayload;
 using common::WireCodec;
 using protocol::ReplEntry;
+using protocol::ReplEntryType;
 using protocol::ReplWrite;
 
 std::string RandomBytes(std::mt19937_64* rng, size_t len) {
@@ -51,6 +52,16 @@ std::string RecordLikeBytes(std::mt19937_64* rng, size_t records) {
     writes.push_back(w);
   }
   return protocol::PackWrites(writes);
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
 }
 
 void ExpectRoundTrip(WireCodec want, const std::string& raw) {
@@ -78,6 +89,8 @@ TEST(BlockCodec, RoundTripAdversarialShapes) {
   ExpectRoundTrip(WireCodec::kBlock, "x");           // 1 byte
   ExpectRoundTrip(WireCodec::kBlock, "abcd");        // exactly min-match
   ExpectRoundTrip(WireCodec::kBlock, std::string(100000, 'z'));  // RLE
+  // The densest stream the format has (~255 output bytes per input byte).
+  ExpectRoundTrip(WireCodec::kBlock, std::string(size_t{1} << 22, '\0'));
   ExpectRoundTrip(WireCodec::kBlock, RandomBytes(&rng, 65537));  // random
   // Long literal run (> 15+255 forces the length-extension path).
   ExpectRoundTrip(WireCodec::kBlock, RandomBytes(&rng, 5000));
@@ -89,6 +102,93 @@ TEST(BlockCodec, RoundTripAdversarialShapes) {
     ExpectRoundTrip(WireCodec::kBlock, RandomBytes(&rng, rng() % 4096));
     ExpectRoundTrip(WireCodec::kBlock, RecordLikeBytes(&rng, rng() % 512));
   }
+}
+
+/// A log-shipping batch as a replica-group leader packs it: YCSB-style
+/// prepare entries carrying their write sets, each followed by its commit.
+std::string ReplAppendPayload(std::mt19937_64* rng, size_t txns) {
+  std::vector<ReplEntry> entries;
+  uint64_t index = 1000;
+  for (size_t t = 0; t < txns; ++t) {
+    const Xid xid{(uint64_t{1} << 48) | (5000 + 7 * t), 2};
+    std::vector<ReplWrite> writes;
+    const size_t n = 1 + (*rng)() % 3;
+    for (size_t w = 0; w < n; ++w) {
+      writes.push_back(ReplWrite{RecordKey{1, (*rng)() % 1000000},
+                                 static_cast<int64_t>((*rng)() % 1000)});
+    }
+    for (ReplEntryType type :
+         {ReplEntryType::kPrepare, ReplEntryType::kCommit}) {
+      ReplEntry e;
+      e.index = index++;
+      e.epoch = 1;
+      e.type = type;
+      e.xid = xid;
+      e.coordinator = 100;
+      e.writes = writes;
+      e.at = static_cast<Micros>(5000000 + 137 * index);
+      entries.push_back(std::move(e));
+    }
+  }
+  return protocol::PackEntries(entries);
+}
+
+// Golden bytes: the block codec's output for real log-shipping payloads
+// and for the adversarial shapes above. Speeding the codec up must not
+// change a single byte of it. Pinned as {size, ContentHash64} of the
+// compressed stream, plus the whole stream of the one-transaction batch.
+TEST(BlockCodec, GoldenCompressedBytes) {
+  std::mt19937_64 rng(0x601DE7);
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (size_t txns : {1, 4, 16, 64}) {
+    inputs.emplace_back("repl_append_" + std::to_string(txns),
+                        ReplAppendPayload(&rng, txns));
+  }
+  inputs.emplace_back("empty", "");
+  inputs.emplace_back("one_byte", "x");
+  inputs.emplace_back("min_match", "abcd");
+  inputs.emplace_back("rle", std::string(100000, 'z'));
+  inputs.emplace_back("random_64k", RandomBytes(&rng, 65537));
+  inputs.emplace_back("random_5k", RandomBytes(&rng, 5000));
+  std::string periodic;
+  for (int i = 0; i < 4000; ++i) periodic += "pattern-17-bytes!";
+  inputs.emplace_back("periodic", periodic);
+  inputs.emplace_back("records_300", RecordLikeBytes(&rng, 300));
+  inputs.emplace_back("records_1024", RecordLikeBytes(&rng, 1024));
+  // Period-2 run: every match overlaps its own output.
+  std::string overlap = "ab";
+  for (int i = 0; i < 12; ++i) overlap += overlap;
+  inputs.emplace_back("overlap", overlap + "tail");
+  const std::vector<std::pair<size_t, uint64_t>> want = {
+      {86, 11620512090607839207ULL},    {270, 18112063858939141751ULL},
+      {1063, 2212755403105704419ULL},   {4084, 2553700662252267170ULL},
+      {0, 14695981039346656037ULL},     {2, 606103618891436853ULL},
+      {5, 11203321527298340335ULL},     {397, 6981853599670072107ULL},
+      {65795, 8261573800086877607ULL},  {5021, 10112718355472005234ULL},
+      {288, 1802733934251623113ULL},    {2245, 4033055687932601074ULL},
+      {7378, 7430877008820810020ULL},   {43, 14213493416334869390ULL}};
+  ASSERT_EQ(inputs.size(), want.size());
+  common::ICompressor* codec = common::CompressorFor(WireCodec::kBlock);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& raw = inputs[i].second;
+    const std::string wire = codec->Compress(
+        reinterpret_cast<const uint8_t*>(raw.data()), raw.size());
+    EXPECT_EQ(wire.size(), want[i].first) << inputs[i].first;
+    EXPECT_EQ(ContentHash64(wire), want[i].second) << inputs[i].first;
+    std::string back;
+    ASSERT_TRUE(common::DecompressorFor(WireCodec::kBlock)
+                    ->Decompress(reinterpret_cast<const uint8_t*>(wire.data()),
+                                 wire.size(), raw.size(), &back))
+        << inputs[i].first;
+    EXPECT_EQ(back, raw) << inputs[i].first;
+  }
+  const std::string one = inputs[0].second;
+  const std::string one_wire = codec->Compress(
+      reinterpret_cast<const uint8_t*>(one.data()), one.size());
+  EXPECT_EQ(Hex(one_wire),
+            "7102000000e803000100110106005000000088130a002001001d0070640000"
+            "00f1624e11000110000025003141c60d100011700600200000140031d1d90e"
+            "0e00113b06000f0500101be976001c0176002f7a63760040");
 }
 
 TEST(BlockCodec, IncompressibleFallsBackToRaw) {
@@ -167,6 +267,14 @@ TEST(BlockCodec, WrongLengthOrHashRejected) {
   // A forged giant uncompressed_len must not allocate its way to an OOM.
   EXPECT_FALSE(DecodePayload(used, wire, size_t{1} << 40,
                              ContentHash64(raw), &back));
+  // Nor may one the frame cannot reach (over 255 bytes per wire byte),
+  // even below the global payload cap.
+  std::string claimed;
+  common::IDecompressor* codec = common::DecompressorFor(WireCodec::kBlock);
+  EXPECT_FALSE(codec->Decompress(reinterpret_cast<const uint8_t*>(wire.data()),
+                                 wire.size(), 255 * (wire.size() + 1),
+                                 &claimed));
+  EXPECT_TRUE(claimed.empty());  // refused before sizing the output
 }
 
 TEST(BlockCodec, RandomGarbageNeverCrashes) {
@@ -273,16 +381,6 @@ TEST(WanCodec, EntriesRoundTrip) {
     std::vector<ReplEntry> scratch;
     EXPECT_FALSE(protocol::UnpackEntries(packed.substr(0, cut), &scratch));
   }
-}
-
-std::string Hex(const std::string& bytes) {
-  static const char kDigits[] = "0123456789abcdef";
-  std::string out;
-  for (unsigned char c : bytes) {
-    out.push_back(kDigits[c >> 4]);
-    out.push_back(kDigits[c & 0xF]);
-  }
-  return out;
 }
 
 // Golden layout: the packed bytes are persisted indirectly (their

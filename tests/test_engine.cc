@@ -43,6 +43,16 @@ class EngineTest : public ::testing::Test {
     });
     return result;
   }
+
+  // In doubt: prepared and unresolved, as coordinator recovery sees it.
+  bool InDoubt(const Xid& xid) const {
+    bool listed = false;
+    for (const Xid& prepared : engine_.PreparedXids()) {
+      if (prepared == xid) listed = true;
+    }
+    EXPECT_EQ(listed, engine_.StateOf(xid) == TxnState::kPrepared);
+    return listed;
+  }
 };
 
 TEST_F(EngineTest, BeginTwiceFails) {
@@ -123,22 +133,48 @@ TEST_F(EngineTest, RollbackAfterPrepareAllowed) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
   ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
+  EXPECT_TRUE(InDoubt(T(1)));
   ASSERT_TRUE(engine_.Rollback(T(1), 20).ok());
+  EXPECT_FALSE(InDoubt(T(1)));
   EXPECT_EQ(engine_.store().Get(K(5))->value, 0);
+  EXPECT_EQ(engine_.wal().appended(), 2u);  // prepare + abort
 }
 
 TEST_F(EngineTest, WalRecordsPrepareAndCommit) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  EXPECT_FALSE(InDoubt(T(1)));
+  EXPECT_EQ(engine_.wal().appended(), 0u);
   ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  EXPECT_TRUE(engine_.wal().IsPreparedUnresolved(T(1)));
+  EXPECT_TRUE(InDoubt(T(1)));
+  EXPECT_EQ(engine_.wal().appended(), 1u);
   ASSERT_TRUE(engine_.Commit(T(1), 20).ok());
-  EXPECT_FALSE(engine_.wal().IsPreparedUnresolved(T(1)));
-  // Appending buffers entries; physical flushes are accounted separately
+  EXPECT_FALSE(InDoubt(T(1)));
+  // Appending buffers records; physical flushes are accounted separately
   // (under group commit the two diverge — one fsync can cover them both).
-  EXPECT_EQ(engine_.wal().entries().size(), 2u);
+  EXPECT_EQ(engine_.wal().appended(), 2u);
   EXPECT_EQ(engine_.wal().fsyncs(), 0u);
   engine_.NoteWalFsync();
   EXPECT_EQ(engine_.wal().fsyncs(), 1u);
+  // A refused transition appends nothing.
+  EXPECT_FALSE(engine_.Commit(T(1), 30).ok());
+  EXPECT_FALSE(engine_.Prepare(T(1), 30).ok());
+  EXPECT_EQ(engine_.wal().appended(), 2u);
+}
+
+TEST_F(EngineTest, InstallPreparedBranchLeavesBranchInDoubt) {
+  ASSERT_TRUE(engine_.InstallPreparedBranch(T(3), {{K(7), 70}, {K(8), 80}},
+                                            10)
+                  .ok());
+  EXPECT_TRUE(InDoubt(T(3)));
+  EXPECT_EQ(engine_.wal().appended(), 1u);
+  EXPECT_EQ(engine_.store().Get(K(7))->value, 70);
+  // A crash keeps it in doubt; the decision resolves it.
+  engine_.Crash(20);
+  EXPECT_TRUE(InDoubt(T(3)));
+  ASSERT_TRUE(engine_.Rollback(T(3), 30).ok());
+  EXPECT_FALSE(InDoubt(T(3)));
+  EXPECT_EQ(engine_.store().Get(K(7))->value, 0);
+  EXPECT_EQ(engine_.wal().appended(), 2u);
 }
 
 TEST_F(EngineTest, LockWaitParksOp) {
@@ -203,9 +239,13 @@ TEST_F(EngineTest, CrashAbortsActiveKeepsPrepared) {
   auto prepared = engine_.PreparedXids();
   ASSERT_EQ(prepared.size(), 1u);
   EXPECT_EQ(prepared[0].txn_id, T(1).txn_id);
+  EXPECT_TRUE(InDoubt(T(1)));
+  EXPECT_FALSE(InDoubt(T(2)));
   EXPECT_EQ(engine_.store().Get(K(6))->value, 0);
+  EXPECT_EQ(engine_.wal().appended(), 2u);  // T1 prepare + T2 abort
   // The in-doubt branch can still commit after recovery.
   ASSERT_TRUE(engine_.Commit(T(1), 30).ok());
+  EXPECT_FALSE(InDoubt(T(1)));
   EXPECT_EQ(engine_.store().Get(K(5))->value, 1);
 }
 

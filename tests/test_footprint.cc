@@ -402,6 +402,12 @@ void ExpectMatchesReference(const HotspotFootprint& fp,
   const size_t buckets = 1 + rng.NextU64(8);
   const auto hist = fp.Histogram(RecordKey{1, lo}, RecordKey{1, hi}, buckets);
   const auto records = ref.Range(RecordKey{1, lo}, RecordKey{1, hi});
+  uint64_t heat = 0;
+  for (const auto& [key, stats] : records) heat += stats.t_cnt;
+  EXPECT_EQ(fp.HeatSum(RecordKey{1, lo}, RecordKey{1, hi}), heat);
+  uint64_t all_heat = 0;
+  for (const auto& [key, stats] : want) all_heat += stats.t_cnt;
+  EXPECT_EQ(fp.HeatSum(first, last), all_heat);
   ASSERT_EQ(hist.empty(), records.empty());
   if (records.empty()) return;
   EXPECT_EQ(hist.extent_lo, records.front().first.key);

@@ -5,6 +5,8 @@
 // simulated log device under it: completion order and counters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +22,51 @@ namespace {
 
 using storage::GroupCommitConfig;
 using storage::GroupCommitter;
+using storage::LogRecord;
 using testing_support::MiniCluster;
+
+/// A simulated log device that also keeps the bytes of every flush.
+class CapturingStorage : public runtime::IStableStorage {
+ public:
+  explicit CapturingStorage(sim::EventLoop* loop) : device_(loop) {}
+
+  void Flush(std::string batch, Micros cost_hint,
+             std::function<void()> done) override {
+    batches.push_back(batch);
+    device_.Flush(std::move(batch), cost_hint, std::move(done));
+  }
+  uint64_t fsyncs() const override { return device_.fsyncs(); }
+  uint64_t bytes_flushed() const override { return device_.bytes_flushed(); }
+
+  std::vector<std::string> batches;
+
+ private:
+  runtime::SimStableStorage device_;
+};
+
+/// The text each record kind was written as when callers formatted their
+/// own strings; the device format must not drift from it.
+std::string LegacyText(const LogRecord& record) {
+  switch (record.kind) {
+    case LogRecord::Kind::kBarrier:
+      return "";
+    case LogRecord::Kind::kPrepare:
+      return "PREPARE xid=" + record.xid.ToString() + "\n";
+    case LogRecord::Kind::kCommit:
+      return "COMMIT xid=" + record.xid.ToString() + "\n";
+    case LogRecord::Kind::kDecision:
+      return "DECISION txn=" + std::to_string(record.xid.txn_id) +
+             (record.commit ? " C\n" : " A\n");
+  }
+  return "?";
+}
+
+std::string LegacyText(const std::vector<LogRecord>& records, size_t from,
+                       size_t to) {
+  std::string text;
+  for (size_t i = from; i < to; ++i) text += LegacyText(records[i]);
+  return text;
+}
 
 TEST(SimStableStorageTest, OverlappingFlushesCompleteInDeadlineOrder) {
   sim::EventLoop loop;
@@ -175,6 +221,87 @@ TEST(GroupCommitterTest, DisabledModeFsyncsEveryEntryIndependently) {
   ASSERT_EQ(done_at.size(), 4u);
   for (Micros at : done_at) EXPECT_EQ(at, 2000);  // parallel, not queued
   EXPECT_EQ(committer.stats().fsyncs, 4u);
+}
+
+TEST(GroupCommitterTest, RecordsFlushAsLegacyTextAcrossBacklogAndReset) {
+  sim::EventLoop loop;
+  CapturingStorage device(&loop);
+  GroupCommitConfig config;
+  config.max_batch_size = 3;
+  GroupCommitter committer(&loop, &device, config);
+  // DM-ordinal txn ids, extreme ids and node ids, every record kind.
+  const TxnId big = (TxnId{3} << 48) | 12345;
+  const std::vector<LogRecord> records = {
+      LogRecord::Prepare(Xid{big, 2}),
+      LogRecord::Commit(Xid{1, 0}),
+      LogRecord::Decision(big, /*commit=*/true),
+      LogRecord(),  // a bare barrier adds no bytes
+      LogRecord::Decision(7, /*commit=*/false),
+      LogRecord::Prepare(Xid{UINT64_MAX, INT32_MAX}),
+      LogRecord::Commit(Xid{42, kInvalidNode}),
+      LogRecord::Prepare(Xid{kInvalidTxn, INT32_MIN}),
+      LogRecord::Commit(Xid{big + 1, 3}),
+  };
+  int acked = 0;
+  const auto append = [&](size_t i) {
+    committer.Append(1000, records[i], [&acked]() { acked++; });
+  };
+  // One record occupies the device; eight more arrive behind it and drain
+  // in max_batch_size chunks.
+  append(0);
+  loop.Schedule(500, [&]() {
+    for (size_t i = 1; i < records.size(); ++i) append(i);
+  });
+  loop.Run();
+  EXPECT_EQ(acked, 9);
+  const std::vector<std::string> want = {
+      LegacyText(records, 0, 1), LegacyText(records, 1, 4),
+      LegacyText(records, 4, 7), LegacyText(records, 7, 9)};
+  EXPECT_EQ(device.batches, want);
+
+  // A crash drops the open batch's bytes with its waiters.
+  device.batches.clear();
+  append(5);
+  append(6);
+  committer.Reset();
+  append(2);
+  loop.Run();
+  EXPECT_EQ(acked, 10);
+  ASSERT_EQ(device.batches.size(), 1u);
+  EXPECT_EQ(device.batches[0], LegacyText(records[2]));
+
+  // A crash during a flush: the flushed bytes reached the device, yet no
+  // waiter fires; records after the crash start a clean batch.
+  device.batches.clear();
+  append(0);
+  append(1);
+  loop.Schedule(100, [&]() {
+    committer.Reset();
+    append(8);
+    append(4);
+  });
+  loop.Run();
+  EXPECT_EQ(acked, 12);
+  const std::vector<std::string> after = {LegacyText(records, 0, 2),
+                                          LegacyText(records[8]) +
+                                              LegacyText(records[4])};
+  EXPECT_EQ(device.batches, after);
+}
+
+TEST(GroupCommitterTest, DisabledModeFlushesEachRecordAlone) {
+  sim::EventLoop loop;
+  CapturingStorage device(&loop);
+  GroupCommitConfig config;
+  config.enabled = false;
+  GroupCommitter committer(&loop, &device, config);
+  const LogRecord prepare = LogRecord::Prepare(Xid{9, 1});
+  const LogRecord decision = LogRecord::Decision(9, /*commit=*/true);
+  committer.Append(2000, prepare, []() {});
+  committer.Append(2000, decision, []() {});
+  loop.Run();
+  const std::vector<std::string> want = {LegacyText(prepare),
+                                         LegacyText(decision)};
+  EXPECT_EQ(device.batches, want);
 }
 
 // ---------------------------------------------------------------------------
